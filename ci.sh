@@ -95,6 +95,28 @@ rm -rf "$e19_dir"
 echo "== cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# Benchmark byte-identity gate: one short run of every perfbench
+# workload at seed 7, where each checks its simulated-stat fingerprints
+# against perfbench/pins.txt and counts a mismatch as a failed case. The
+# stage fails unless there is one result line per workload and every one
+# reads "failed": 0. Then the benchmark's own unit tests. Cargo may
+# refresh perfbench/Cargo.lock while resolving the package's path
+# dependencies; the stage puts the committed file back.
+echo "== perfbench pins (seed 7)"
+pb_lock=$(mktemp)
+cp perfbench/Cargo.lock "$pb_lock"
+trap 'cp "$pb_lock" perfbench/Cargo.lock; rm -f "$pb_lock"' EXIT
+pb_out=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 7 --seconds 1)
+pb_results=$(echo "$pb_out" | grep '^{"correct"' || true)
+pb_count=$(echo "$pb_results" | grep -c '"attempted"' || true)
+pb_clean=$(echo "$pb_results" | grep -c '"failed": 0,' || true)
+[[ "$pb_count" -eq 3 && "$pb_clean" -eq 3 ]] \
+  || { echo "perfbench pins FAILED ($pb_clean/$pb_count clean result lines):"; echo "$pb_out"; exit 1; }
+echo "$pb_results" | sed 's/, "metrics".*//'
+echo "== cargo test (perfbench)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Hot-path benchmark gate (opt-in: STASHDIR_BENCH=1). Compares the
 # microbench medians against the committed BENCH_sim_hotpath.json and
 # fails on >10% regression; also re-asserts the ≥20% event-dispatch /

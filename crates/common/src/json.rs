@@ -250,6 +250,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -318,9 +319,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Far above
+/// anything the repository writes, and far below the depth at which the
+/// recursive descent would overflow the stack.
+const MAX_DEPTH: usize = 1024;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -368,11 +376,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses a container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -614,6 +637,25 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{\"a\":1} x").is_err());
         assert!(Value::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let at_limit = Value::parse(&nested(MAX_DEPTH)).unwrap();
+        let mut v = &at_limit;
+        let mut depth = 1;
+        while let Some([inner]) = v.as_array() {
+            v = inner;
+            depth += 1;
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Deep enough to overflow the stack of an unbounded parser.
+        assert!(Value::parse(&"[".repeat(100_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Value::parse(&objects).is_err());
     }
 
     #[test]

@@ -181,7 +181,11 @@ pub fn execute_cases(
     }
 
     // Persist artifacts for freshly completed cases, then the manifest.
-    for outcome in &outcomes {
+    // A resumed case's artifact is already on disk, byte for byte.
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if resumed_idx.contains(&i) {
+            continue;
+        }
         if let (CaseStatus::Completed, Some(report)) = (outcome.status, outcome.report.as_ref()) {
             artifact::save_report_styled(&run_dir, &outcome.spec.id(), report, persist.style)?;
         }

@@ -5,10 +5,11 @@
 //!    cases run one at a time on one thread.
 //! 2. **Panic isolation + resume.** An injected per-case panic is
 //!    recorded as `failed` in the manifest while every other case
-//!    completes; re-invoking with resume re-runs *only* the failed case.
+//!    completes; re-invoking with resume re-runs *only* the failed case
+//!    and leaves the artifacts of resumed cases untouched.
 
 use stashdir::{CoverageRatio, DirSpec, SystemConfig, Workload};
-use stashdir_harness::artifact::{report_to_json, ArtifactStyle};
+use stashdir_harness::artifact::{case_path, report_to_json, ArtifactStyle};
 use stashdir_harness::runner::{execute_cases, PersistOptions};
 use stashdir_harness::{run_cases, CaseStatus, ExperimentPlan, Params, RunManifest, RunOptions};
 use std::path::PathBuf;
@@ -188,6 +189,63 @@ fn resume_reruns_cases_whose_digest_changed() {
     .unwrap();
     assert_eq!(rep.resumed, 0, "changed configs must not resume");
     assert_eq!(rep.ran, changed.len());
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn resume_leaves_resumed_artifacts_untouched() {
+    let root = tmp_root("untouched");
+    std::fs::remove_dir_all(&root).ok();
+    let params = Params { ops: 100, seed: 7 };
+    let cases = small_plan().expand();
+    let persist = |resume| PersistOptions {
+        resume,
+        style: ArtifactStyle::Pretty,
+    };
+    execute_cases(
+        &cases,
+        "run",
+        &root,
+        vec![],
+        params,
+        &RunOptions::default(),
+        persist(false),
+    )
+    .unwrap();
+
+    // Back-date every artifact so a rewrite would show in its mtime
+    // whatever the filesystem's timestamp resolution.
+    let stamp = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
+    let run_dir = root.join("run");
+    let before: Vec<(PathBuf, Vec<u8>)> = cases
+        .iter()
+        .map(|c| {
+            let path = case_path(&run_dir, &c.id());
+            let file = std::fs::File::options().write(true).open(&path).unwrap();
+            file.set_modified(stamp).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+
+    let rep = execute_cases(
+        &cases,
+        "run",
+        &root,
+        vec![],
+        params,
+        &RunOptions::default(),
+        persist(true),
+    )
+    .unwrap();
+    assert_eq!(rep.resumed, cases.len(), "every case resumes");
+    assert_eq!(rep.ran, 0);
+    for (path, bytes) in before {
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{}", path.display());
+        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+        assert_eq!(mtime, stamp, "{} was rewritten", path.display());
+    }
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -32,5 +32,5 @@ pub mod set_assoc;
 
 pub use cache::{CacheConfig, CacheStats};
 pub use dram::{DramConfig, DramModel};
-pub use replacement::{ReplKind, ReplacementPolicy};
+pub use replacement::ReplKind;
 pub use set_assoc::SetAssoc;

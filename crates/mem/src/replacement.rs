@@ -1,46 +1,35 @@
 //! Replacement policies for set-associative structures.
 //!
-//! A policy instance manages the ways of **one** set. [`SetAssoc`] keeps
-//! one instance per set. Policies see three events: a fill into a way, a
-//! hit on a way, and a victim request. Invalid ways are always preferred
-//! as victims, ahead of whatever the policy would choose.
+//! [`SetAssoc`] keeps every set's replacement state in one flat `u32`
+//! array, [`ReplKind::state_len`] words per set, and dispatches on the
+//! [`ReplKind`] it was built with; no set owns a heap object. Policies
+//! see three events: a fill into a way, a hit on a way, and a victim
+//! request. A victim is only requested for a *full* set (callers fill
+//! free ways first), so every way is a candidate.
 //!
 //! [`SetAssoc`]: crate::SetAssoc
 
-// lint: allow-file(indexing) — every index is a way number bounded by the
-// per-set vectors sized at construction; `valid` always has `ways` slots.
+// lint: allow-file(indexing) — every index is a way number below `ways`,
+// and every state slice is `state_len(ways)` words, sized by `SetAssoc`
+// when the set is materialized.
 
 use serde::{Deserialize, Serialize};
 use stashdir_common::DetRng;
 use std::fmt;
 
-/// The replacement decision logic for one cache set.
-///
-/// Implementations must be deterministic given the same event sequence and
-/// the same RNG stream.
-pub trait ReplacementPolicy: fmt::Debug {
-    /// Called when `way` is filled with a new block.
-    fn on_fill(&mut self, way: usize);
-
-    /// Called when `way` hits.
-    fn on_hit(&mut self, way: usize);
-
-    /// Chooses the way to evict among the valid ways.
-    ///
-    /// `valid[w]` tells whether way `w` currently holds a block. The caller
-    /// guarantees at least one way is valid; callers prefer invalid ways
-    /// themselves, so policies may assume the set is full in practice but
-    /// must still return a *valid* way if some are invalid.
-    fn victim(&mut self, valid: &[bool], rng: &mut DetRng) -> usize;
-}
-
-/// Selects which [`ReplacementPolicy`] a structure uses.
+/// Selects the replacement policy a structure uses.
 ///
 /// # Examples
 ///
 /// ```
-/// use stashdir_mem::ReplKind;
-/// let policy = ReplKind::Lru.build(8);
+/// use stashdir_common::BlockAddr;
+/// use stashdir_mem::{ReplKind, SetAssoc};
+///
+/// let mut a: SetAssoc<()> = SetAssoc::new(1, 2, ReplKind::Fifo, 0);
+/// a.insert(BlockAddr::new(0), ());
+/// a.insert(BlockAddr::new(1), ());
+/// a.touch(BlockAddr::new(0)); // FIFO ignores hits
+/// assert_eq!(a.victim_for(BlockAddr::new(2)), Some(BlockAddr::new(0)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ReplKind {
@@ -49,7 +38,7 @@ pub enum ReplKind {
     Lru,
     /// First-in-first-out (fill order, hits do not promote).
     Fifo,
-    /// Uniform random among valid ways.
+    /// Uniform random among the ways.
     Random,
     /// Not-recently-used: one reference bit per way, cleared in bulk.
     Nru,
@@ -59,21 +48,91 @@ pub enum ReplKind {
     TreePlru,
 }
 
+const RRPV_MAX: u32 = 3; // 2-bit counters
+const RRPV_INSERT: u32 = 2; // "long" re-reference prediction on insert
+
 impl ReplKind {
-    /// Instantiates the policy for a set with `ways` ways.
+    /// Words of state one set with `ways` ways needs:
     ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
-    pub fn build(self, ways: usize) -> Box<dyn ReplacementPolicy> {
-        assert!(ways > 0, "a set needs at least one way");
+    /// * LRU / FIFO — the way indices, least recent (or oldest) first;
+    /// * NRU — one reference bit per way;
+    /// * SRRIP — one RRPV counter per way;
+    /// * tree PLRU — the bits of a complete binary tree over the next
+    ///   power of two of `ways`;
+    /// * random — nothing (the draw comes from the array's RNG).
+    pub(crate) fn state_len(self, ways: usize) -> usize {
         match self {
-            ReplKind::Lru => Box::new(Lru::new(ways)),
-            ReplKind::Fifo => Box::new(Fifo::new(ways)),
-            ReplKind::Random => Box::new(Random { ways }),
-            ReplKind::Nru => Box::new(Nru::new(ways)),
-            ReplKind::Srrip => Box::new(Srrip::new(ways)),
-            ReplKind::TreePlru => Box::new(TreePlru::new(ways)),
+            ReplKind::Lru | ReplKind::Fifo | ReplKind::Nru | ReplKind::Srrip => ways,
+            ReplKind::Random => 0,
+            ReplKind::TreePlru => ways.next_power_of_two().max(2) - 1,
+        }
+    }
+
+    /// Writes the state of a freshly materialized set into `state`.
+    pub(crate) fn init(self, state: &mut [u32]) {
+        match self {
+            ReplKind::Lru | ReplKind::Fifo => {
+                for (w, s) in (0u32..).zip(state.iter_mut()) {
+                    *s = w;
+                }
+            }
+            ReplKind::Srrip => state.fill(RRPV_MAX),
+            ReplKind::Random | ReplKind::Nru | ReplKind::TreePlru => state.fill(0),
+        }
+    }
+
+    /// Records a fill into `way` of a set with `ways` ways.
+    pub(crate) fn on_fill(self, state: &mut [u32], ways: usize, way: usize) {
+        match self {
+            ReplKind::Lru | ReplKind::Fifo => move_to_back(state, way),
+            ReplKind::Nru => state[way] = 1,
+            ReplKind::Srrip => state[way] = RRPV_INSERT,
+            ReplKind::TreePlru => plru_touch(state, ways, way),
+            ReplKind::Random => {}
+        }
+    }
+
+    /// Records a hit on `way` of a set with `ways` ways.
+    pub(crate) fn on_hit(self, state: &mut [u32], ways: usize, way: usize) {
+        match self {
+            ReplKind::Lru => move_to_back(state, way),
+            ReplKind::Nru => state[way] = 1,
+            ReplKind::Srrip => state[way] = 0,
+            ReplKind::TreePlru => plru_touch(state, ways, way),
+            ReplKind::Fifo | ReplKind::Random => {}
+        }
+    }
+
+    /// Chooses the way to evict from a full set with `ways` ways. May
+    /// advance the state (NRU reset, SRRIP aging) or draw from `rng`
+    /// (random).
+    pub(crate) fn victim(self, state: &mut [u32], ways: usize, rng: &mut DetRng) -> usize {
+        match self {
+            ReplKind::Lru | ReplKind::Fifo => state[0] as usize,
+            ReplKind::Random => rng.index(ways),
+            ReplKind::Nru => state.iter().position(|&r| r == 0).unwrap_or_else(|| {
+                // Everyone referenced: clear and take the first way.
+                state.fill(0);
+                0
+            }),
+            ReplKind::Srrip => loop {
+                if let Some(w) = state.iter().position(|&r| r == RRPV_MAX) {
+                    return w;
+                }
+                for r in state.iter_mut() {
+                    *r = (*r + 1).min(RRPV_MAX);
+                }
+            },
+            ReplKind::TreePlru => {
+                // A padding leaf (non-power-of-two ways) falls back to the
+                // first way.
+                let chosen = plru_follow(state, ways);
+                if chosen < ways {
+                    chosen
+                } else {
+                    0
+                }
+            }
         }
     }
 }
@@ -92,361 +151,183 @@ impl fmt::Display for ReplKind {
     }
 }
 
-/// Exact LRU: a recency stack of way indices, most recent at the back.
-#[derive(Debug, Clone)]
-struct Lru {
-    // stack[0] is least recently used.
-    stack: Vec<usize>,
+/// Moves `way` to the most-recent end of a recency (or fill-order) stack.
+fn move_to_back(stack: &mut [u32], way: usize) {
+    if let Some(pos) = stack.iter().position(|&w| w as usize == way) {
+        stack[pos..].rotate_left(1);
+    } else {
+        debug_assert!(false, "way {way} tracked by the recency stack");
+    }
 }
 
-impl Lru {
-    fn new(ways: usize) -> Self {
-        Lru {
-            stack: (0..ways).collect(),
+/// Flips the tree bits on `way`'s path so they point away from it
+/// (`0` = the LRU side is left).
+fn plru_touch(tree: &mut [u32], ways: usize, way: usize) {
+    let mut node = 0;
+    let mut lo = 0;
+    let mut size = ways.next_power_of_two();
+    while size > 1 {
+        let half = size / 2;
+        let go_right = way >= lo + half;
+        // Point the bit at the *other* half (the LRU side).
+        tree[node] = u32::from(!go_right);
+        node = 2 * node + if go_right { 2 } else { 1 };
+        if go_right {
+            lo += half;
         }
-    }
-
-    fn promote(&mut self, way: usize) {
-        debug_assert!(self.stack.contains(&way), "way tracked by LRU stack");
-        self.stack.retain(|&w| w != way);
-        self.stack.push(way);
+        size = half;
     }
 }
 
-impl ReplacementPolicy for Lru {
-    fn on_fill(&mut self, way: usize) {
-        self.promote(way);
-    }
-
-    fn on_hit(&mut self, way: usize) {
-        self.promote(way);
-    }
-
-    fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
-        debug_assert!(valid.contains(&true), "victim() needs a valid way");
-        self.stack.iter().copied().find(|&w| valid[w]).unwrap_or(0)
-    }
-}
-
-/// FIFO: eviction in fill order; hits do not refresh.
-#[derive(Debug, Clone)]
-struct Fifo {
-    queue: Vec<usize>,
-}
-
-impl Fifo {
-    fn new(ways: usize) -> Self {
-        Fifo {
-            queue: (0..ways).collect(),
+/// The leaf the tree bits point at.
+fn plru_follow(tree: &[u32], ways: usize) -> usize {
+    let mut node = 0;
+    let mut lo = 0;
+    let mut size = ways.next_power_of_two();
+    while size > 1 {
+        let half = size / 2;
+        let go_right = tree[node] != 0;
+        node = 2 * node + if go_right { 2 } else { 1 };
+        if go_right {
+            lo += half;
         }
+        size = half;
     }
-}
-
-impl ReplacementPolicy for Fifo {
-    fn on_fill(&mut self, way: usize) {
-        debug_assert!(self.queue.contains(&way), "way tracked by FIFO queue");
-        self.queue.retain(|&w| w != way);
-        self.queue.push(way);
-    }
-
-    fn on_hit(&mut self, _way: usize) {}
-
-    fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
-        debug_assert!(valid.contains(&true), "victim() needs a valid way");
-        self.queue.iter().copied().find(|&w| valid[w]).unwrap_or(0)
-    }
-}
-
-/// Uniform random among valid ways.
-#[derive(Debug, Clone)]
-struct Random {
-    ways: usize,
-}
-
-impl ReplacementPolicy for Random {
-    fn on_fill(&mut self, _way: usize) {}
-
-    fn on_hit(&mut self, _way: usize) {}
-
-    fn victim(&mut self, valid: &[bool], rng: &mut DetRng) -> usize {
-        let candidates: Vec<usize> = (0..self.ways).filter(|&w| valid[w]).collect();
-        *rng.pick(&candidates)
-    }
-}
-
-/// NRU: one reference bit per way; victim is the first valid way with a
-/// clear bit, clearing all bits when every valid way is referenced.
-#[derive(Debug, Clone)]
-struct Nru {
-    referenced: Vec<bool>,
-}
-
-impl Nru {
-    fn new(ways: usize) -> Self {
-        Nru {
-            referenced: vec![false; ways],
-        }
-    }
-}
-
-impl ReplacementPolicy for Nru {
-    fn on_fill(&mut self, way: usize) {
-        self.referenced[way] = true;
-    }
-
-    fn on_hit(&mut self, way: usize) {
-        self.referenced[way] = true;
-    }
-
-    fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
-        if let Some(w) = (0..self.referenced.len()).find(|&w| valid[w] && !self.referenced[w]) {
-            return w;
-        }
-        // Everyone referenced: clear and take the first valid way.
-        debug_assert!(valid.contains(&true), "victim() needs a valid way");
-        self.referenced.iter_mut().for_each(|r| *r = false);
-        (0..self.referenced.len()).find(|&w| valid[w]).unwrap_or(0)
-    }
-}
-
-const RRPV_MAX: u8 = 3; // 2-bit counters
-const RRPV_INSERT: u8 = 2; // "long" re-reference prediction on insert
-
-/// SRRIP-HP with 2-bit re-reference prediction values.
-#[derive(Debug, Clone)]
-struct Srrip {
-    rrpv: Vec<u8>,
-}
-
-impl Srrip {
-    fn new(ways: usize) -> Self {
-        Srrip {
-            rrpv: vec![RRPV_MAX; ways],
-        }
-    }
-}
-
-impl ReplacementPolicy for Srrip {
-    fn on_fill(&mut self, way: usize) {
-        self.rrpv[way] = RRPV_INSERT;
-    }
-
-    fn on_hit(&mut self, way: usize) {
-        self.rrpv[way] = 0;
-    }
-
-    fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
-        loop {
-            if let Some(w) = (0..self.rrpv.len()).find(|&w| valid[w] && self.rrpv[w] == RRPV_MAX) {
-                return w;
-            }
-            for (r, &v) in self.rrpv.iter_mut().zip(valid) {
-                if v {
-                    *r = (*r + 1).min(RRPV_MAX);
-                }
-            }
-        }
-    }
-}
-
-/// Tree pseudo-LRU over the next power of two of `ways`.
-#[derive(Debug, Clone)]
-struct TreePlru {
-    ways: usize,
-    // Bits of a complete binary tree; bit=false means "LRU side is left".
-    tree: Vec<bool>,
-    leaves: usize,
-}
-
-impl TreePlru {
-    fn new(ways: usize) -> Self {
-        let leaves = ways.next_power_of_two();
-        TreePlru {
-            ways,
-            tree: vec![false; leaves.max(2) - 1],
-            leaves,
-        }
-    }
-
-    /// Flips the path bits so they point away from `way`.
-    fn touch(&mut self, way: usize) {
-        let mut node = 0;
-        let mut lo = 0;
-        let mut size = self.leaves;
-        while size > 1 {
-            let half = size / 2;
-            let go_right = way >= lo + half;
-            // Point the bit at the *other* half (the LRU side).
-            self.tree[node] = !go_right;
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo += half;
-            }
-            size = half;
-        }
-    }
-
-    fn follow(&self) -> usize {
-        let mut node = 0;
-        let mut lo = 0;
-        let mut size = self.leaves;
-        while size > 1 {
-            let half = size / 2;
-            let go_right = self.tree[node];
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo += half;
-            }
-            size = half;
-        }
-        lo
-    }
-}
-
-impl ReplacementPolicy for TreePlru {
-    fn on_fill(&mut self, way: usize) {
-        self.touch(way);
-    }
-
-    fn on_hit(&mut self, way: usize) {
-        self.touch(way);
-    }
-
-    fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
-        let chosen = self.follow();
-        if chosen < self.ways && valid[chosen] {
-            return chosen;
-        }
-        // Padding leaf (non-power-of-two ways) or invalid way: fall back to
-        // the first valid way, preserving pseudo-LRU's O(1) spirit.
-        debug_assert!(valid.contains(&true), "victim() needs a valid way");
-        (0..self.ways).find(|&w| valid[w]).unwrap_or(0)
-    }
+    lo
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rng() -> DetRng {
-        DetRng::seed_from(99)
+    /// One set's state plus the policy driving it.
+    struct Set {
+        kind: ReplKind,
+        ways: usize,
+        state: Vec<u32>,
+        rng: DetRng,
     }
 
-    fn all_valid(n: usize) -> Vec<bool> {
-        vec![true; n]
+    impl Set {
+        fn new(kind: ReplKind, ways: usize) -> Self {
+            let mut state = vec![0; kind.state_len(ways)];
+            kind.init(&mut state);
+            Set {
+                kind,
+                ways,
+                state,
+                rng: DetRng::seed_from(99),
+            }
+        }
+
+        fn fill(&mut self, way: usize) {
+            self.kind.on_fill(&mut self.state, self.ways, way);
+        }
+
+        fn hit(&mut self, way: usize) {
+            self.kind.on_hit(&mut self.state, self.ways, way);
+        }
+
+        fn victim(&mut self) -> usize {
+            self.kind.victim(&mut self.state, self.ways, &mut self.rng)
+        }
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut p = ReplKind::Lru.build(4);
+        let mut p = Set::new(ReplKind::Lru, 4);
         for w in 0..4 {
-            p.on_fill(w);
+            p.fill(w);
         }
-        p.on_hit(0); // order now 1,2,3,0
-        assert_eq!(p.victim(&all_valid(4), &mut rng()), 1);
-        p.on_hit(1);
-        assert_eq!(p.victim(&all_valid(4), &mut rng()), 2);
-    }
-
-    #[test]
-    fn lru_skips_invalid_ways() {
-        let mut p = ReplKind::Lru.build(4);
-        for w in 0..4 {
-            p.on_fill(w);
-        }
-        let valid = vec![false, false, true, true];
-        assert_eq!(p.victim(&valid, &mut rng()), 2);
+        p.hit(0); // order now 1,2,3,0
+        assert_eq!(p.victim(), 1);
+        p.hit(1);
+        assert_eq!(p.victim(), 2);
     }
 
     #[test]
     fn fifo_ignores_hits() {
-        let mut p = ReplKind::Fifo.build(3);
+        let mut p = Set::new(ReplKind::Fifo, 3);
         for w in 0..3 {
-            p.on_fill(w);
+            p.fill(w);
         }
-        p.on_hit(0);
-        p.on_hit(0);
-        assert_eq!(
-            p.victim(&all_valid(3), &mut rng()),
-            0,
-            "hits do not refresh"
-        );
-        p.on_fill(0); // refill moves 0 to the back
-        assert_eq!(p.victim(&all_valid(3), &mut rng()), 1);
+        p.hit(0);
+        p.hit(0);
+        assert_eq!(p.victim(), 0, "hits do not refresh");
+        p.fill(0); // refill moves 0 to the back
+        assert_eq!(p.victim(), 1);
     }
 
     #[test]
-    fn random_only_picks_valid() {
-        let mut p = ReplKind::Random.build(8);
-        let mut r = rng();
-        let valid = vec![false, true, false, true, false, false, false, true];
+    fn random_picks_in_range() {
+        let mut p = Set::new(ReplKind::Random, 8);
+        assert_eq!(ReplKind::Random.state_len(8), 0);
         for _ in 0..100 {
-            let v = p.victim(&valid, &mut r);
-            assert!(valid[v]);
+            assert!(p.victim() < 8);
         }
     }
 
     #[test]
     fn nru_prefers_unreferenced_then_resets() {
-        let mut p = ReplKind::Nru.build(4);
-        p.on_fill(0);
-        p.on_fill(1);
-        p.on_fill(2);
+        let mut p = Set::new(ReplKind::Nru, 4);
+        p.fill(0);
+        p.fill(1);
+        p.fill(2);
         // way 3 never filled/referenced in NRU terms.
-        assert_eq!(p.victim(&all_valid(4), &mut rng()), 3);
-        p.on_hit(3);
-        // Now all referenced: reset happens and the first valid way wins.
-        assert_eq!(p.victim(&all_valid(4), &mut rng()), 0);
+        assert_eq!(p.victim(), 3);
+        p.hit(3);
+        // Now all referenced: reset happens and the first way wins.
+        assert_eq!(p.victim(), 0);
+        assert!(p.state.iter().all(|&r| r == 0), "bits cleared in bulk");
     }
 
     #[test]
     fn srrip_hits_protect_lines() {
-        let mut p = ReplKind::Srrip.build(2);
-        p.on_fill(0);
-        p.on_fill(1);
-        p.on_hit(0); // rrpv(0)=0, rrpv(1)=2
-        assert_eq!(p.victim(&all_valid(2), &mut rng()), 1);
+        let mut p = Set::new(ReplKind::Srrip, 2);
+        p.fill(0);
+        p.fill(1);
+        p.hit(0); // rrpv(0)=0, rrpv(1)=2
+        assert_eq!(p.victim(), 1);
     }
 
     #[test]
     fn srrip_ages_until_a_victim_exists() {
-        let mut p = ReplKind::Srrip.build(2);
-        p.on_fill(0);
-        p.on_fill(1);
-        p.on_hit(0);
-        p.on_hit(1); // both rrpv 0; aging loop must terminate
-        let v = p.victim(&all_valid(2), &mut rng());
-        assert!(v < 2);
+        let mut p = Set::new(ReplKind::Srrip, 2);
+        p.fill(0);
+        p.fill(1);
+        p.hit(0);
+        p.hit(1); // both rrpv 0; aging loop must terminate
+        assert!(p.victim() < 2);
     }
 
     #[test]
     fn tree_plru_points_away_from_recent() {
-        let mut p = ReplKind::TreePlru.build(4);
+        let mut p = Set::new(ReplKind::TreePlru, 4);
         for w in 0..4 {
-            p.on_fill(w);
+            p.fill(w);
         }
         // Most recent fill was way 3 (right subtree); victim must be on the
         // left subtree.
-        let v = p.victim(&all_valid(4), &mut rng());
+        let v = p.victim();
         assert!(v < 2, "victim {v} should be in the left half");
     }
 
     #[test]
     fn tree_plru_handles_non_power_of_two() {
-        let mut p = ReplKind::TreePlru.build(3);
+        let mut p = Set::new(ReplKind::TreePlru, 3);
+        assert_eq!(ReplKind::TreePlru.state_len(3), 3);
         for w in 0..3 {
-            p.on_fill(w);
+            p.fill(w);
         }
         for _ in 0..10 {
-            let v = p.victim(&all_valid(3), &mut rng());
+            let v = p.victim();
             assert!(v < 3);
-            p.on_fill(v);
+            p.fill(v);
         }
     }
 
     #[test]
     fn every_policy_round_trips_under_churn() {
-        let mut r = rng();
         for kind in [
             ReplKind::Lru,
             ReplKind::Fifo,
@@ -455,16 +336,15 @@ mod tests {
             ReplKind::Srrip,
             ReplKind::TreePlru,
         ] {
-            let mut p = kind.build(8);
-            let valid = all_valid(8);
+            let mut p = Set::new(kind, 8);
             for i in 0..1000 {
                 match i % 3 {
-                    0 => p.on_fill(i % 8),
-                    1 => p.on_hit((i * 5) % 8),
+                    0 => p.fill(i % 8),
+                    1 => p.hit((i * 5) % 8),
                     _ => {
-                        let v = p.victim(&valid, &mut r);
+                        let v = p.victim();
                         assert!(v < 8, "{kind}: victim out of range");
-                        p.on_fill(v);
+                        p.fill(v);
                     }
                 }
             }
@@ -475,11 +355,5 @@ mod tests {
     fn display_names_are_stable() {
         assert_eq!(ReplKind::Lru.to_string(), "lru");
         assert_eq!(ReplKind::TreePlru.to_string(), "tree-plru");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one way")]
-    fn zero_ways_panics() {
-        let _ = ReplKind::Lru.build(0);
     }
 }

@@ -2,36 +2,28 @@
 //!
 //! [`SetAssoc`] maps [`BlockAddr`]s to payloads of type `L` (cache-line
 //! metadata, directory entries, …) with bounded associativity and a
-//! pluggable replacement policy. It is the storage substrate for the
+//! selectable replacement policy. It is the storage substrate for the
 //! private caches, the LLC banks and the sparse/stash directory slices.
+//!
+//! Storage is flat. The tags, payloads and replacement state of every set
+//! live in three arrays, one row per set. A set gets its row on its first
+//! insert, so building an array allocates nothing per set and an array
+//! holds memory only for the sets it has used.
 
-// lint: allow-file(indexing) — set indices are masked by `set_mask` and
-// way indices come from `way_of`/`free_way`/the policy, all bounded by the
-// per-set `ways` vector sized at construction.
+// lint: allow-file(indexing) — set indices are masked by `set_mask`, rows
+// come from `rows` and are below the number of rows pushed, way indices
+// are below `ways`, and every row spans `ways` slots and `state_len`
+// replacement words.
 
-use crate::replacement::{ReplKind, ReplacementPolicy};
+use crate::replacement::ReplKind;
 use stashdir_common::{BlockAddr, DetRng};
 
-struct Set<L> {
-    ways: Vec<Option<(BlockAddr, L)>>,
-    policy: Box<dyn ReplacementPolicy>,
-}
+/// `rows` entry of a set that has not been materialized yet.
+const UNMAPPED: u32 = u32::MAX;
 
-impl<L> Set<L> {
-    fn valid_mask(&self) -> Vec<bool> {
-        self.ways.iter().map(Option::is_some).collect()
-    }
-
-    fn way_of(&self, block: BlockAddr) -> Option<usize> {
-        self.ways
-            .iter()
-            .position(|w| matches!(w, Some((b, _)) if *b == block))
-    }
-
-    fn free_way(&self) -> Option<usize> {
-        self.ways.iter().position(Option::is_none)
-    }
-}
+/// Tag of an empty way. Only a way holding a payload can match a lookup,
+/// so a block whose number equals this value is still stored correctly.
+const NO_TAG: u64 = u64::MAX;
 
 /// A set-associative array of `L` payloads keyed by block address.
 ///
@@ -50,7 +42,17 @@ impl<L> Set<L> {
 /// assert_eq!(a.occupancy(), 1);
 /// ```
 pub struct SetAssoc<L> {
-    sets: Vec<Set<L>>,
+    /// Per set, its row in the flat arrays, or [`UNMAPPED`] before the
+    /// set's first insert.
+    rows: Vec<u32>,
+    /// Block number per way, `ways` per row; meaningful only where
+    /// `lines` holds a payload.
+    tags: Vec<u64>,
+    /// Payload per way, `ways` per row; `None` is an empty way.
+    lines: Vec<Option<L>>,
+    /// Replacement state, `state_len` words per row (see [`ReplKind`]).
+    repl_state: Vec<u32>,
+    state_len: usize,
     ways: usize,
     set_mask: u64,
     rng: DetRng,
@@ -71,14 +73,13 @@ impl<L> SetAssoc<L> {
             "num_sets must be a power of two, got {num_sets}"
         );
         assert!(ways > 0, "ways must be positive");
-        let sets = (0..num_sets)
-            .map(|_| Set {
-                ways: (0..ways).map(|_| None).collect(),
-                policy: repl.build(ways),
-            })
-            .collect();
+        assert!(num_sets < UNMAPPED as usize, "too many sets: {num_sets}");
         SetAssoc {
-            sets,
+            rows: vec![UNMAPPED; num_sets],
+            tags: Vec::new(),
+            lines: Vec::new(),
+            repl_state: Vec::new(),
+            state_len: repl.state_len(ways),
             ways,
             set_mask: num_sets as u64 - 1,
             rng: DetRng::seed_from(seed),
@@ -88,7 +89,7 @@ impl<L> SetAssoc<L> {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.rows.len()
     }
 
     /// Associativity.
@@ -98,15 +99,12 @@ impl<L> SetAssoc<L> {
 
     /// Total capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.rows.len() * self.ways
     }
 
     /// Number of blocks currently stored.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.ways.iter().filter(|w| w.is_some()).count())
-            .sum()
+        self.lines.iter().filter(|l| l.is_some()).count()
     }
 
     /// The replacement policy kind this array was built with.
@@ -119,36 +117,97 @@ impl<L> SetAssoc<L> {
         (block.get() & self.set_mask) as usize
     }
 
+    /// The row of `block`'s set, if the set has been materialized.
+    fn row_of(&self, block: BlockAddr) -> Option<usize> {
+        let row = self.rows[self.set_index(block)];
+        (row != UNMAPPED).then_some(row as usize)
+    }
+
+    /// The way of `row` holding `block`.
+    fn way_in(&self, row: usize, block: BlockAddr) -> Option<usize> {
+        let base = row * self.ways;
+        let tags = &self.tags[base..base + self.ways];
+        let lines = &self.lines[base..base + self.ways];
+        tags.iter()
+            .zip(lines)
+            .position(|(&t, l)| t == block.get() && l.is_some())
+    }
+
+    /// The first empty way of `row`.
+    fn free_way(&self, row: usize) -> Option<usize> {
+        let base = row * self.ways;
+        self.lines[base..base + self.ways]
+            .iter()
+            .position(Option::is_none)
+    }
+
+    /// `(row, way)` of `block`, if present.
+    fn locate(&self, block: BlockAddr) -> Option<(usize, usize)> {
+        let row = self.row_of(block)?;
+        Some((row, self.way_in(row, block)?))
+    }
+
+    /// The replacement state of `row`.
+    fn state_mut(&mut self, row: usize) -> &mut [u32] {
+        let start = row * self.state_len;
+        &mut self.repl_state[start..start + self.state_len]
+    }
+
+    /// The occupant of `way` in `row`, as `(way, block, payload)`.
+    fn occupant(&self, row: usize, way: usize) -> Option<(usize, BlockAddr, &L)> {
+        let slot = row * self.ways + way;
+        self.lines[slot]
+            .as_ref()
+            .map(|l| (way, BlockAddr::new(self.tags[slot]), l))
+    }
+
+    /// The row of `set`, appending an empty one on the set's first use.
+    fn materialize(&mut self, set: usize) -> usize {
+        let row = self.rows[set];
+        if row != UNMAPPED {
+            return row as usize;
+        }
+        let row = self.tags.len() / self.ways;
+        self.tags.resize(self.tags.len() + self.ways, NO_TAG);
+        self.lines.extend((0..self.ways).map(|_| None));
+        let start = self.repl_state.len();
+        self.repl_state.resize(start + self.state_len, 0);
+        self.repl.init(&mut self.repl_state[start..]);
+        self.rows[set] = row as u32;
+        row
+    }
+
+    /// Runs the policy's victim choice on the full set in `row`.
+    fn pick_victim(&mut self, row: usize) -> usize {
+        let start = row * self.state_len;
+        let state = &mut self.repl_state[start..start + self.state_len];
+        self.repl.victim(state, self.ways, &mut self.rng)
+    }
+
     /// Returns the payload for `block` without updating recency.
     pub fn get(&self, block: BlockAddr) -> Option<&L> {
-        let set = &self.sets[self.set_index(block)];
-        set.way_of(block)
-            .and_then(|w| set.ways[w].as_ref())
-            .map(|(_, l)| l)
+        let (row, way) = self.locate(block)?;
+        self.lines[row * self.ways + way].as_ref()
     }
 
     /// Returns the payload for `block` mutably without updating recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        set.way_of(block)
-            .and_then(|w| set.ways[w].as_mut())
-            .map(|(_, l)| l)
+        let (row, way) = self.locate(block)?;
+        self.lines[row * self.ways + way].as_mut()
     }
 
     /// Tests whether `block` is present.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.get(block).is_some()
+        self.locate(block).is_some()
     }
 
     /// Records a hit on `block`, promoting it in the replacement order.
     /// Returns `false` if the block is absent.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        match set.way_of(block) {
-            Some(w) => {
-                set.policy.on_hit(w);
+        match self.locate(block) {
+            Some((row, way)) => {
+                let (repl, ways) = (self.repl, self.ways);
+                repl.on_hit(self.state_mut(row), ways, way);
                 true
             }
             None => false,
@@ -157,11 +216,10 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload mutably and promotes the block (hit semantics).
     pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        let w = set.way_of(block)?;
-        set.policy.on_hit(w);
-        set.ways[w].as_mut().map(|(_, l)| l)
+        let (row, way) = self.locate(block)?;
+        let (repl, ways) = (self.repl, self.ways);
+        repl.on_hit(self.state_mut(row), ways, way);
+        self.lines[row * ways + way].as_mut()
     }
 
     /// Inserts `block`, evicting and returning the replacement victim if
@@ -174,22 +232,27 @@ impl<L> SetAssoc<L> {
     ///
     /// [`get_mut`]: SetAssoc::get_mut
     pub fn insert(&mut self, block: BlockAddr, payload: L) -> Option<(BlockAddr, L)> {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
+        let row = self.materialize(self.set_index(block));
         assert!(
-            set.way_of(block).is_none(),
+            self.way_in(row, block).is_none(),
             "block {block} already present; update it instead of re-inserting"
         );
-        let (way, evicted) = match set.free_way() {
+        let (way, evicted) = match self.free_way(row) {
             Some(w) => (w, None),
             None => {
-                let valid = set.valid_mask();
-                let w = set.policy.victim(&valid, &mut self.rng);
-                (w, set.ways[w].take())
+                let w = self.pick_victim(row);
+                let slot = row * self.ways + w;
+                let old = self.lines[slot]
+                    .take()
+                    .map(|l| (BlockAddr::new(self.tags[slot]), l));
+                (w, old)
             }
         };
-        set.ways[way] = Some((block, payload));
-        set.policy.on_fill(way);
+        let slot = row * self.ways + way;
+        self.tags[slot] = block.get();
+        self.lines[slot] = Some(payload);
+        let (repl, ways) = (self.repl, self.ways);
+        repl.on_fill(self.state_mut(row), ways, way);
         evicted
     }
 
@@ -198,57 +261,70 @@ impl<L> SetAssoc<L> {
     /// `block`). May advance policy state (SRRIP aging, RNG draws), which
     /// mirrors hardware where the victim choice is made once per miss.
     pub fn victim_for(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        if set.way_of(block).is_some() || set.free_way().is_some() {
+        let row = self.row_of(block)?;
+        if self.way_in(row, block).is_some() || self.free_way(row).is_some() {
             return None;
         }
-        let valid = set.valid_mask();
-        let w = set.policy.victim(&valid, &mut self.rng);
-        set.ways[w].as_ref().map(|(b, _)| *b)
+        let way = self.pick_victim(row);
+        self.occupant(row, way).map(|(_, b, _)| b)
     }
 
     /// Removes `block`, returning its payload.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
-        let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        let w = set.way_of(block)?;
-        set.ways[w].take().map(|(_, l)| l)
+        let (row, way) = self.locate(block)?;
+        let slot = row * self.ways + way;
+        self.tags[slot] = NO_TAG;
+        self.lines[slot].take()
     }
 
     /// Iterates the occupants of the set `block` maps to, as
-    /// `(way, block, payload)` triples. Used by callers that pick victims
-    /// by payload content (the stash directory's private-first policy).
+    /// `(way, block, payload)` triples in way order. Used by callers that
+    /// pick victims by payload content (the stash directory's
+    /// private-first policy).
     pub fn set_occupants(&self, block: BlockAddr) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
-        self.sets[self.set_index(block)]
-            .ways
-            .iter()
-            .enumerate()
-            .filter_map(|(w, slot)| slot.as_ref().map(|(b, l)| (w, *b, l)))
+        self.row_of(block)
+            .into_iter()
+            .flat_map(move |row| (0..self.ways).filter_map(move |w| self.occupant(row, w)))
+    }
+
+    /// Like [`set_occupants`], but in the order the policy would evict
+    /// them: least recently used first under [`ReplKind::Lru`], oldest
+    /// fill first under [`ReplKind::Fifo`]. The other policies keep no
+    /// total order and yield way order.
+    ///
+    /// [`set_occupants`]: SetAssoc::set_occupants
+    pub fn eviction_order(&self, block: BlockAddr) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
+        let ranked = matches!(self.repl, ReplKind::Lru | ReplKind::Fifo);
+        self.row_of(block).into_iter().flat_map(move |row| {
+            let state = &self.repl_state[row * self.state_len..(row + 1) * self.state_len];
+            (0..self.ways)
+                .map(move |i| if ranked { state[i] as usize } else { i })
+                .filter_map(move |w| self.occupant(row, w))
+        })
     }
 
     /// `true` when the set `block` maps to has no free way and does not
     /// already contain `block` (i.e. inserting `block` would evict).
     pub fn would_evict(&self, block: BlockAddr) -> bool {
-        let set = &self.sets[self.set_index(block)];
-        set.way_of(block).is_none() && set.free_way().is_none()
+        self.row_of(block)
+            .is_some_and(|row| self.way_in(row, block).is_none() && self.free_way(row).is_none())
     }
 
     /// Iterates every resident `(block, payload)` pair in set order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.sets
+        self.rows
             .iter()
-            .flat_map(|s| s.ways.iter().filter_map(|w| w.as_ref()))
-            .map(|(b, l)| (*b, l))
+            .filter(|&&row| row != UNMAPPED)
+            .flat_map(move |&row| {
+                (0..self.ways).filter_map(move |w| self.occupant(row as usize, w))
+            })
+            .map(|(_, b, l)| (b, l))
     }
 
     /// Removes every block.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in &mut set.ways {
-                *way = None;
-            }
-        }
+        self.lines.iter_mut().for_each(|l| *l = None);
+        self.tags.fill(NO_TAG);
     }
 }
 
@@ -374,6 +450,38 @@ mod tests {
         let mut seen: Vec<u64> = a.iter().map(|(b, _)| b.get()).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn sets_materialize_on_first_insert() {
+        let mut a = array(1024, 4);
+        assert_eq!(a.capacity(), 4096);
+        assert!(a.lines.is_empty() && a.repl_state.is_empty());
+        assert_eq!(a.get(BlockAddr::new(7)), None);
+        assert!(!a.touch(BlockAddr::new(7)));
+        assert_eq!(a.victim_for(BlockAddr::new(7)), None);
+        assert!(!a.would_evict(BlockAddr::new(7)));
+        a.insert(BlockAddr::new(7), 7);
+        a.insert(BlockAddr::new(3), 3);
+        assert_eq!(a.lines.len(), 8, "two sets materialized");
+        // Set order, not materialization order.
+        let blocks: Vec<u64> = a.iter().map(|(b, _)| b.get()).collect();
+        assert_eq!(blocks, vec![3, 7]);
+    }
+
+    #[test]
+    fn eviction_order_follows_recency() {
+        let mut a = array(1, 3);
+        for i in 0..3 {
+            a.insert(BlockAddr::new(i), i as u32);
+        }
+        a.touch(BlockAddr::new(0));
+        let order: Vec<u64> = a
+            .eviction_order(BlockAddr::new(0))
+            .map(|(_, b, _)| b.get())
+            .collect();
+        assert_eq!(order, vec![1, 2, 0]);
+        assert_eq!(a.victim_for(BlockAddr::new(9)), Some(BlockAddr::new(1)));
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub mod network;
 pub mod topology;
 
 pub use network::{LinkFaultConfig, Network, NocConfig, SendOutcome};
-pub use topology::{Link, Mesh};
+pub use topology::{Link, Mesh, XyLinkIndices};

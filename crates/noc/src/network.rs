@@ -175,21 +175,20 @@ impl Network {
             return arrival;
         }
 
-        let route = self.mesh.xy_route(src, dst);
-        self.flit_hops.add(flits as u64 * route.len() as u64);
+        // Walk the XY route as dense link indices; no route is built.
+        let links = self.mesh.xy_link_indices(src, dst);
+        self.flit_hops.add(flits as u64 * links.len() as u64);
 
         let mut head = now;
-        for link in route {
-            let depart = if self.config.model_contention {
-                let idx = self.mesh.link_index(link);
+        if self.config.model_contention {
+            for idx in links {
                 let depart = head.max(self.link_free[idx]);
                 // The packet occupies the link for its full length.
                 self.link_free[idx] = depart + flits as u64;
-                depart
-            } else {
-                head
-            };
-            head = depart + self.config.hop_latency;
+                head = depart + self.config.hop_latency;
+            }
+        } else {
+            head += links.len() as u64 * self.config.hop_latency;
         }
         // Tail arrives (flits - 1) cycles after the head.
         let arrival = head + (flits as u64 - 1);

@@ -149,7 +149,94 @@ impl Mesh {
             _ => panic!("{link} does not connect mesh neighbors"),
         }
     }
+
+    /// The dense [`link_index`]es of the XY route from `src` to `dst`, in
+    /// route order, without building the route: each index follows from
+    /// the previous one by a fixed step per phase. Yields exactly
+    /// `xy_route(src, dst)` mapped through `link_index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either endpoint is outside the mesh.
+    ///
+    /// [`link_index`]: Mesh::link_index
+    pub fn xy_link_indices(self, src: NodeId, dst: NodeId) -> XyLinkIndices {
+        let (sx, sy) = self.coords(src);
+        let (dx, dy) = self.coords(dst);
+        let w = self.width as usize;
+        let h = self.height as usize;
+        let horizontal = (w - 1) * h; // east links, then west links, then vertical
+        let (sx, sy, dx, dy) = (sx as usize, sy as usize, dx as usize, dy as usize);
+        // X phase along row `sy`: east links run `sy*(w-1) + x`, west
+        // links `horizontal + sy*(w-1) + (x-1)` for a hop leaving column x.
+        let x = if dx >= sx {
+            Phase::new(sy * (w - 1) + sx, 1, dx - sx)
+        } else {
+            Phase::new(horizontal + sy * (w - 1) + sx - 1, -1, sx - dx)
+        };
+        // Y phase along column `dx`: south links run
+        // `2*horizontal + dx*(h-1) + y`, north links
+        // `2*horizontal + (h-1)*w + dx*(h-1) + (y-1)`.
+        let y = if dy >= sy {
+            Phase::new(2 * horizontal + dx * (h - 1) + sy, 1, dy - sy)
+        } else {
+            Phase::new(
+                2 * horizontal + (h - 1) * w + dx * (h - 1) + sy - 1,
+                -1,
+                sy - dy,
+            )
+        };
+        XyLinkIndices { x, y }
+    }
 }
+
+/// One dimension of an XY route: `left` links starting at index `next`,
+/// each `step` after the previous.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    next: usize,
+    step: isize,
+    left: usize,
+}
+
+impl Phase {
+    fn new(next: usize, step: isize, left: usize) -> Self {
+        Phase { next, step, left }
+    }
+
+    fn take(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        let idx = self.next;
+        self.next = self.next.wrapping_add_signed(self.step);
+        self.left -= 1;
+        Some(idx)
+    }
+}
+
+/// Iterator over the link indices of an XY route; see
+/// [`Mesh::xy_link_indices`].
+#[derive(Debug, Clone, Copy)]
+pub struct XyLinkIndices {
+    x: Phase,
+    y: Phase,
+}
+
+impl Iterator for XyLinkIndices {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        self.x.take().or_else(|| self.y.take())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.x.left + self.y.left;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for XyLinkIndices {}
 
 impl fmt::Display for Mesh {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

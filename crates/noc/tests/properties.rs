@@ -1,5 +1,6 @@
 //! Property tests of the mesh network model: latency lower bounds,
-//! contention monotonicity, routing totality.
+//! contention monotonicity, routing totality, and the in-place route
+//! walk against `xy_route` + `link_index`.
 
 use proptest::prelude::*;
 use stashdir_common::{Cycle, NodeId};
@@ -119,6 +120,97 @@ proptest! {
                     prop_assert_eq!(last.to, b);
                 }
             }
+        }
+    }
+}
+
+/// The meshes the route walk is checked on exhaustively: a row, a
+/// column, a square and the 1024-node point.
+const WALK_MESHES: [(u16, u16); 4] = [(1, 8), (8, 1), (4, 4), (32, 32)];
+
+/// `Network::send` as it was before the in-place walk: build the XY
+/// route, then look every link up by `link_index`.
+struct ReferenceNet {
+    mesh: Mesh,
+    config: NocConfig,
+    link_free: Vec<Cycle>,
+    flit_hops: u64,
+}
+
+impl ReferenceNet {
+    fn new(mesh: Mesh, config: NocConfig) -> Self {
+        ReferenceNet {
+            mesh,
+            config,
+            link_free: vec![Cycle::ZERO; mesh.directed_links()],
+            flit_hops: 0,
+        }
+    }
+
+    fn send(&mut self, src: NodeId, dst: NodeId, flits: u32, now: Cycle) -> Cycle {
+        if src == dst {
+            return now + self.config.local_latency;
+        }
+        let route = self.mesh.xy_route(src, dst);
+        self.flit_hops += flits as u64 * route.len() as u64;
+        let mut head = now;
+        for link in route {
+            let depart = if self.config.model_contention {
+                let idx = self.mesh.link_index(link);
+                let depart = head.max(self.link_free[idx]);
+                self.link_free[idx] = depart + flits as u64;
+                depart
+            } else {
+                head
+            };
+            head = depart + self.config.hop_latency;
+        }
+        head + (flits as u64 - 1)
+    }
+}
+
+#[test]
+fn link_walk_matches_route_then_index() {
+    for (w, h) in WALK_MESHES {
+        let mesh = Mesh::new(w, h);
+        for a in 0..mesh.nodes() {
+            for b in 0..mesh.nodes() {
+                let (a, b) = (NodeId::new(a), NodeId::new(b));
+                let walked: Vec<usize> = mesh.xy_link_indices(a, b).collect();
+                let routed: Vec<usize> = mesh
+                    .xy_route(a, b)
+                    .into_iter()
+                    .map(|l| mesh.link_index(l))
+                    .collect();
+                assert_eq!(walked, routed, "{mesh}: {a} -> {b}");
+                assert_eq!(mesh.xy_link_indices(a, b).len(), routed.len());
+            }
+        }
+    }
+}
+
+#[test]
+fn send_matches_reference_on_every_pair() {
+    for (w, h) in WALK_MESHES {
+        let mesh = Mesh::new(w, h);
+        for contention in [true, false] {
+            let mut net = Network::new(mesh, cfg(contention));
+            let mut reference = ReferenceNet::new(mesh, cfg(contention));
+            let mut i = 0u64;
+            for a in 0..mesh.nodes() {
+                for b in 0..mesh.nodes() {
+                    let (a, b) = (NodeId::new(a), NodeId::new(b));
+                    // Varying length and a slowly advancing clock keep
+                    // links contended without saturating them.
+                    let flits = 1 + (i % 5) as u32;
+                    let now = Cycle::new(i / 3);
+                    i += 1;
+                    let got = net.send(a, b, flits, "data", now);
+                    let want = reference.send(a, b, flits, now);
+                    assert_eq!(got, want, "{mesh} contention={contention}: {a} -> {b}");
+                }
+            }
+            assert_eq!(net.flit_hops(), reference.flit_hops, "{mesh}");
         }
     }
 }

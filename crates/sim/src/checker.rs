@@ -22,9 +22,8 @@
 //!   at its home.
 
 use crate::machine::Machine;
-use stashdir_common::{BlockAddr, CoreId};
+use stashdir_common::{BlockAddr, CoreId, FxHashMap};
 use stashdir_protocol::{DirView, PrivState};
-use std::collections::{HashMap, HashSet};
 
 /// Runs every invariant over `machine`, returning human-readable
 /// violation descriptions (empty = clean). `final_check` additionally
@@ -33,51 +32,55 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
     let mut problems = Vec::new();
     let uses_stash = machine.config().dir.uses_stash();
 
-    // Gather every valid private copy: block -> [(core, state, version)].
-    let mut copies: HashMap<BlockAddr, Vec<(CoreId, PrivState, u64)>> = HashMap::new();
+    // Gather every valid private copy as (block, core, state, version).
+    let mut copies: Vec<(BlockAddr, CoreId, PrivState, u64)> = Vec::new();
     for hier in &machine.privs {
         let core = hier.core();
         // I7: L1 ⊆ L2.
-        let l2_blocks: HashSet<BlockAddr> = hier.l2_entries().iter().map(|(b, _)| *b).collect();
         for l1_block in hier.l1_blocks() {
-            if !l2_blocks.contains(&l1_block) {
+            if !hier.l2_holds(l1_block) {
                 problems.push(format!("I7: {core} holds {l1_block} in L1 but not L2"));
             }
         }
-        for (block, line) in hier.l2_entries() {
-            copies
-                .entry(block)
-                .or_default()
-                .push((core, line.state, line.version));
-        }
+        copies.extend(
+            hier.l2_entries()
+                .into_iter()
+                .map(|(block, line)| (block, core, line.state, line.version)),
+        );
     }
+    // Sorted so violation messages come out in block order, then core
+    // order — checker output feeds failure reports. A core holds a block
+    // at most once, so the key is unique.
+    copies.sort_unstable_by_key(|&(block, core, _, _)| (block, core));
 
-    // Sorted so violation messages come out in block order, not hash
-    // order — checker output feeds failure reports.
-    let mut copies_by_block: Vec<_> = copies.iter().collect();
-    copies_by_block.sort_by_key(|(b, _)| **b);
-    for (&block, holders) in copies_by_block {
+    for holders in copies.chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(block, ..)) = holders.first() else {
+            continue;
+        };
         let home = machine.home(block);
         // lint: allow(indexing) — `home()`/`dir_bank_of()` return in-range BankIds.
         let bank = &machine.banks[home.index()];
         // The entry may live away from the home (opaque sharding).
         // lint: allow(indexing) — `dir_bank_of()` returns an in-range BankId.
         let view = machine.banks[machine.dir_bank_of(block).index()].dir_view(block);
-        let stash = bank.stash_bit(block);
-        let llc_resident = bank.llc_peek(block).is_some();
+        let llc_line = bank.llc_peek(block);
+        let stash = llc_line.is_some_and(|l| l.stash);
+        let llc_resident = llc_line.is_some();
 
         // I3: single writer.
-        let exclusive_holders: Vec<CoreId> = holders
-            .iter()
-            .filter(|(_, s, _)| s.is_exclusive())
-            .map(|(c, _, _)| *c)
-            .collect();
-        if exclusive_holders.len() > 1 {
+        let exclusive_holders = || {
+            holders
+                .iter()
+                .filter(|(_, _, s, _)| s.is_exclusive())
+                .map(|(_, c, _, _)| *c)
+        };
+        if exclusive_holders().nth(1).is_some() {
+            let all: Vec<CoreId> = exclusive_holders().collect();
             problems.push(format!(
-                "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
+                "I3: {block} has multiple exclusive holders: {all:?}"
             ));
         }
-        if let Some(first) = exclusive_holders.first() {
+        if let Some(first) = exclusive_holders().next() {
             if holders.len() > 1 {
                 problems.push(format!(
                     "I3: {block} has an exclusive copy at {first} alongside {} other copies",
@@ -94,7 +97,7 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         }
 
         // I1/I2: directory coverage per holder, plus state agreement.
-        for (core, state, _) in holders {
+        for (_, core, state, _) in holders {
             let covered = match &view {
                 DirView::Untracked => false,
                 DirView::Exclusive(owner) => owner == core,
@@ -115,7 +118,7 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
 
         // I5: every valid copy holds the latest version.
         let latest = machine.values.latest(block);
-        for (core, state, version) in holders {
+        for (_, core, state, version) in holders {
             if *version != latest {
                 problems.push(format!(
                     "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
@@ -162,25 +165,30 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
 
     // I5 reachability: the latest version of every written block exists
     // somewhere.
-    let mut wb_versions: HashMap<BlockAddr, u64> = HashMap::new();
+    let mut wb_versions: FxHashMap<BlockAddr, u64> = FxHashMap::default();
     for hier in &machine.privs {
         for (block, entry) in hier.wb_entries() {
             let best = wb_versions.entry(block).or_insert(0);
             *best = (*best).max(entry.version);
         }
     }
+    // Written blocks come sorted, like `copies`, so one forward walk
+    // pairs each block with its copies.
+    let mut cursor = copies.iter().peekable();
     for (block, latest) in machine.values.written_blocks() {
-        let in_copies = copies
-            .get(&block)
-            .map(|hs| hs.iter().any(|(_, _, v)| *v == latest))
-            .unwrap_or(false);
-        let in_wb = wb_versions.get(&block).copied().unwrap_or(0) == latest;
-        // lint: allow(indexing) — `home()` returns an in-range BankId.
-        let in_llc = machine.banks[machine.home(block).index()]
-            .llc_peek(block)
-            .is_some_and(|l| l.version == latest);
-        let in_dram = machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
-        if !(in_copies || in_wb || in_llc || in_dram) {
+        while cursor.next_if(|c| c.0 < block).is_some() {}
+        let mut in_copies = false;
+        while let Some(c) = cursor.next_if(|c| c.0 == block) {
+            in_copies |= c.3 == latest;
+        }
+        let reachable = in_copies
+            || wb_versions.get(&block).copied().unwrap_or(0) == latest
+            // lint: allow(indexing) — `home()` returns an in-range BankId.
+            || machine.banks[machine.home(block).index()]
+                .llc_peek(block)
+                .is_some_and(|l| l.version == latest)
+            || machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
+        if !reachable {
             problems.push(format!(
                 "I5: latest version {latest} of {block} is unreachable (lost write)"
             ));
@@ -383,6 +391,63 @@ mod tests {
         assert!(
             problems.iter().any(|p| p.contains("without an LLC line")),
             "{problems:?}"
+        );
+    }
+
+    #[test]
+    fn detects_l1_block_missing_from_l2() {
+        let mut m = stash_machine();
+        install_consistent(&mut m, BlockAddr::new(0), 0);
+        install_consistent(&mut m, BlockAddr::new(1), 2);
+        m.privs[2].drop_l2_only(BlockAddr::new(1));
+        let problems = check(&m, false);
+        assert_eq!(
+            problems,
+            vec!["I7: core2 holds B0x1 in L1 but not L2".to_string()],
+            "the L2 loss hides the copy from every other invariant"
+        );
+    }
+
+    #[test]
+    fn detects_core_with_unretired_trace() {
+        let mut m = stash_machine();
+        // Four cores whose (empty) traces all retired at cycle 0.
+        m.cores.trace = vec![Vec::new(); 4];
+        m.cores.pc = vec![0; 4];
+        m.cores.pending = vec![None; 4];
+        m.cores.finish = vec![Some(stashdir_common::Cycle::ZERO); 4];
+        assert!(check(&m, true).is_empty(), "every core retired");
+        m.cores.trace[3] = vec![stashdir_common::MemOp::read(BlockAddr::new(5))];
+        assert!(check(&m, false).is_empty(), "liveness is final-only");
+        assert_eq!(
+            check(&m, true),
+            vec!["I6: core3 did not retire its trace (pc 0/1, pending=false)".to_string()]
+        );
+    }
+
+    #[test]
+    fn violation_order_is_pinned_across_blocks() {
+        let mut m = stash_machine();
+        // Block 0x9: a conjured second exclusive owner at core 1.
+        install_consistent(&mut m, BlockAddr::new(9), 3);
+        m.privs[1].fill(BlockAddr::new(9), Grant::Modified, 0);
+        // Block 0x2: tracked and cached, but its LLC line is gone.
+        install_consistent(&mut m, BlockAddr::new(2), 0);
+        let home = m.home(BlockAddr::new(2));
+        m.banks[home.index()].llc_remove(BlockAddr::new(2));
+        let problems = check(&m, false);
+        let home9 = m.home(BlockAddr::new(9));
+        assert_eq!(
+            problems,
+            vec![
+                format!("I4: B0x2 cached privately but not resident in {home}'s LLC"),
+                "I3: B0x9 has multiple exclusive holders: [CoreId(1), CoreId(3)]".to_string(),
+                "I3: B0x9 has an exclusive copy at core1 alongside 1 other copies".to_string(),
+                format!(
+                    "I1/I2: core1 holds B0x9 (M) but {home9} tracks Excl(core3) with stash=false"
+                ),
+                format!("I4: {home} tracks B0x2 without an LLC line"),
+            ]
         );
     }
 

@@ -381,6 +381,18 @@ impl PrivateHier {
             .map_or(PrivState::Invalid, |line| line.state)
     }
 
+    /// Whether `block` is L2-resident (in any state).
+    pub(crate) fn l2_holds(&self, block: BlockAddr) -> bool {
+        self.l2.contains(block)
+    }
+
+    /// Drops `block` from L2 alone, leaving any L1 copy: a broken
+    /// inclusion for the checker's tests.
+    #[cfg(test)]
+    pub(crate) fn drop_l2_only(&mut self, block: BlockAddr) {
+        self.l2.remove(block);
+    }
+
     /// Snapshot of all L2-resident blocks.
     pub fn l2_entries(&self) -> Vec<(BlockAddr, L2Line)> {
         self.l2.iter().map(|(b, l)| (b, *l)).collect()
