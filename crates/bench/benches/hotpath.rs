@@ -1,7 +1,7 @@
 //! The hot-path benchmark gate: microbenches of the inner-loop
 //! structures this repo optimized — event diagnostics, message
-//! arena allocation, batched bank stepping, directory lookup keys, and
-//! stat bumping — plus scaled-down E9 macro points (64 and 256 cores),
+//! arena allocation, batched bank stepping, directory lookup keys,
+//! occupancy-proportional set storage, and stat bumping — plus scaled-down E9 macro points (64 and 256 cores),
 //! with a JSON baseline (`BENCH_sim_hotpath.json` at the repo root)
 //! and a `--check` mode that fails on regression.
 //!
@@ -23,6 +23,7 @@
 use criterion::{BenchResult, Criterion};
 use stashdir::common::json::Value;
 use stashdir::common::{BlockAddr, Cycle, DetRng, FxHashMap, StatSink};
+use stashdir::mem::{ReplKind, SetAssoc};
 use stashdir::sim::arena::Arena;
 use stashdir::sim::event::EventQueue;
 use stashdir::{CoverageRatio, DirConfig, DirSpec, SystemConfig, Workload};
@@ -240,6 +241,33 @@ fn bench_dir_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_set_assoc(c: &mut Criterion) {
+    let mut group = c.benchmark_group("set_assoc");
+    // One LLC bank of the 1024-core E20 point: a 1024-set x 16-way LRU
+    // array built from nothing and filled with ~650 lines, about two per
+    // touched set (two address regions that share their set indices),
+    // each fill followed by a lookup. The last 1023 banks built stay
+    // alive, as the rest of the machine's LLC does, so every fill lands
+    // in the memory footprint of a whole 1024-bank LLC; the oldest bank
+    // is dropped inside the timed iteration.
+    group.bench_function("sparse_llc_1024x16", |b| {
+        let mut banks: VecDeque<SetAssoc<[u64; 2]>> = VecDeque::with_capacity(1024);
+        b.iter(|| {
+            if banks.len() == 1024 {
+                banks.pop_front();
+            }
+            let mut llc = SetAssoc::new(1024, 16, ReplKind::Lru, 5);
+            for i in 0..650u64 {
+                let block = BlockAddr::new(((i % 2) << 20) | (i / 2));
+                llc.insert(block, [i, i]);
+                black_box(llc.get(block));
+            }
+            banks.push_back(llc);
+        });
+    });
+    group.finish();
+}
+
 const STAT_KEYS: [&str; 8] = [
     "l1.hits",
     "l1.misses",
@@ -444,6 +472,7 @@ fn main() -> ExitCode {
     bench_msg_arena(&mut criterion);
     bench_bank_step(&mut criterion);
     bench_dir_lookup(&mut criterion);
+    bench_set_assoc(&mut criterion);
     bench_stat_bump(&mut criterion);
     bench_macro_e9(&mut criterion);
     let results = criterion.results();

@@ -481,8 +481,12 @@ impl Parser<'_> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let low = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined)
+                                    if (0xDC00..0xE000).contains(&low) {
+                                        let high = (cp - 0xD800) << 10;
+                                        char::from_u32(0x10000 + high + (low - 0xDC00))
+                                    } else {
+                                        None
+                                    }
                                 } else {
                                     None
                                 }
@@ -515,8 +519,11 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let digits = &self.bytes[self.pos..self.pos + 4];
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
@@ -656,6 +663,23 @@ mod tests {
         assert!(Value::parse(&"[".repeat(100_000)).is_err());
         let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
         assert!(Value::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn malformed_unicode_escapes_are_errors() {
+        let pair = Value::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(pair.as_str(), Some("😀"));
+        // High surrogates without a low half, and escapes that are not
+        // four hex digits.
+        for bad in [
+            r#""\ud800\u0000""#,
+            r#""\udbff\ud800""#,
+            r#""\ud800""#,
+            r#""\u+123""#,
+            r#""\u-12a""#,
+        ] {
+            assert!(Value::parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

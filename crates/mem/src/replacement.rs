@@ -1,11 +1,12 @@
 //! Replacement policies for set-associative structures.
 //!
-//! [`SetAssoc`] keeps every set's replacement state in one flat `u32`
+//! [`SetAssoc`] keeps every set's replacement state in one flat `u8`
 //! array, [`ReplKind::state_len`] words per set, and dispatches on the
 //! [`ReplKind`] it was built with; no set owns a heap object. Policies
 //! see three events: a fill into a way, a hit on a way, and a victim
 //! request. A victim is only requested for a *full* set (callers fill
-//! free ways first), so every way is a candidate.
+//! free ways first), so every way is a candidate. A word holds a way
+//! index, so a set has at most 256 ways ([`MAX_WAYS`]).
 //!
 //! [`SetAssoc`]: crate::SetAssoc
 
@@ -48,8 +49,12 @@ pub enum ReplKind {
     TreePlru,
 }
 
-const RRPV_MAX: u32 = 3; // 2-bit counters
-const RRPV_INSERT: u32 = 2; // "long" re-reference prediction on insert
+const RRPV_MAX: u8 = 3; // 2-bit counters
+const RRPV_INSERT: u8 = 2; // "long" re-reference prediction on insert
+
+/// Most ways one set may have: LRU and FIFO state stores way indices in
+/// `u8` words.
+pub const MAX_WAYS: usize = 256;
 
 impl ReplKind {
     /// Words of state one set with `ways` ways needs:
@@ -69,10 +74,10 @@ impl ReplKind {
     }
 
     /// Writes the state of a freshly materialized set into `state`.
-    pub(crate) fn init(self, state: &mut [u32]) {
+    pub(crate) fn init(self, state: &mut [u8]) {
         match self {
             ReplKind::Lru | ReplKind::Fifo => {
-                for (w, s) in (0u32..).zip(state.iter_mut()) {
+                for (w, s) in (0..=u8::MAX).zip(state.iter_mut()) {
                     *s = w;
                 }
             }
@@ -82,7 +87,7 @@ impl ReplKind {
     }
 
     /// Records a fill into `way` of a set with `ways` ways.
-    pub(crate) fn on_fill(self, state: &mut [u32], ways: usize, way: usize) {
+    pub(crate) fn on_fill(self, state: &mut [u8], ways: usize, way: usize) {
         match self {
             ReplKind::Lru | ReplKind::Fifo => move_to_back(state, way),
             ReplKind::Nru => state[way] = 1,
@@ -93,7 +98,7 @@ impl ReplKind {
     }
 
     /// Records a hit on `way` of a set with `ways` ways.
-    pub(crate) fn on_hit(self, state: &mut [u32], ways: usize, way: usize) {
+    pub(crate) fn on_hit(self, state: &mut [u8], ways: usize, way: usize) {
         match self {
             ReplKind::Lru => move_to_back(state, way),
             ReplKind::Nru => state[way] = 1,
@@ -106,7 +111,7 @@ impl ReplKind {
     /// Chooses the way to evict from a full set with `ways` ways. May
     /// advance the state (NRU reset, SRRIP aging) or draw from `rng`
     /// (random).
-    pub(crate) fn victim(self, state: &mut [u32], ways: usize, rng: &mut DetRng) -> usize {
+    pub(crate) fn victim(self, state: &mut [u8], ways: usize, rng: &mut DetRng) -> usize {
         match self {
             ReplKind::Lru | ReplKind::Fifo => state[0] as usize,
             ReplKind::Random => rng.index(ways),
@@ -152,7 +157,7 @@ impl fmt::Display for ReplKind {
 }
 
 /// Moves `way` to the most-recent end of a recency (or fill-order) stack.
-fn move_to_back(stack: &mut [u32], way: usize) {
+fn move_to_back(stack: &mut [u8], way: usize) {
     if let Some(pos) = stack.iter().position(|&w| w as usize == way) {
         stack[pos..].rotate_left(1);
     } else {
@@ -162,7 +167,7 @@ fn move_to_back(stack: &mut [u32], way: usize) {
 
 /// Flips the tree bits on `way`'s path so they point away from it
 /// (`0` = the LRU side is left).
-fn plru_touch(tree: &mut [u32], ways: usize, way: usize) {
+fn plru_touch(tree: &mut [u8], ways: usize, way: usize) {
     let mut node = 0;
     let mut lo = 0;
     let mut size = ways.next_power_of_two();
@@ -170,7 +175,7 @@ fn plru_touch(tree: &mut [u32], ways: usize, way: usize) {
         let half = size / 2;
         let go_right = way >= lo + half;
         // Point the bit at the *other* half (the LRU side).
-        tree[node] = u32::from(!go_right);
+        tree[node] = u8::from(!go_right);
         node = 2 * node + if go_right { 2 } else { 1 };
         if go_right {
             lo += half;
@@ -180,7 +185,7 @@ fn plru_touch(tree: &mut [u32], ways: usize, way: usize) {
 }
 
 /// The leaf the tree bits point at.
-fn plru_follow(tree: &[u32], ways: usize) -> usize {
+fn plru_follow(tree: &[u8], ways: usize) -> usize {
     let mut node = 0;
     let mut lo = 0;
     let mut size = ways.next_power_of_two();
@@ -204,7 +209,7 @@ mod tests {
     struct Set {
         kind: ReplKind,
         ways: usize,
-        state: Vec<u32>,
+        state: Vec<u8>,
         rng: DetRng,
     }
 
@@ -243,6 +248,20 @@ mod tests {
         assert_eq!(p.victim(), 1);
         p.hit(1);
         assert_eq!(p.victim(), 2);
+    }
+
+    #[test]
+    fn lru_tracks_the_widest_set() {
+        let mut p = Set::new(ReplKind::Lru, MAX_WAYS);
+        for w in 0..MAX_WAYS {
+            p.fill(w);
+        }
+        p.hit(0);
+        assert_eq!(p.victim(), 1);
+        p.hit(1);
+        p.hit(MAX_WAYS - 1);
+        assert_eq!(p.victim(), 2);
+        assert_eq!(p.state.last(), Some(&u8::MAX), "way 255 fits a u8 word");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests of the set-associative array against a reference
 //! model: bounded associativity is the only way blocks may disappear,
-//! and the LRU policy's stack property holds. The flat array is also
-//! checked step by step against the per-set implementation it replaced.
+//! and the LRU policy's stack property holds. The occupancy-proportional
+//! array is also checked step by step against the fixed-row per-set
+//! implementation it replaced.
 
 use proptest::prelude::*;
 use stashdir_common::BlockAddr;
@@ -118,6 +119,8 @@ proptest! {
 }
 
 /// One step of the differential test against [`reference::SetAssoc`].
+/// Block keys are reduced modulo a span of 1.5x the array's capacity, so
+/// every geometry sees fills, evictions and removals.
 #[derive(Debug, Clone)]
 enum Step {
     Insert(u64, u32),
@@ -130,22 +133,29 @@ enum Step {
 }
 
 fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let key = || 0u64..1 << 20;
     let step = prop_oneof![
-        6 => (0u64..48, 0u32..1000).prop_map(|(b, v)| Step::Insert(b, v)),
-        3 => (0u64..48).prop_map(Step::Touch),
-        2 => (0u64..48, 0u32..1000).prop_map(|(b, v)| Step::Access(b, v)),
-        1 => (0u64..48).prop_map(Step::Get),
-        2 => (0u64..48).prop_map(Step::Remove),
-        2 => (0u64..48).prop_map(Step::VictimFor),
-        1 => (0u64..60).prop_map(|_| Step::Clear),
+        120 => (key(), 0u32..1000).prop_map(|(b, v)| Step::Insert(b, v)),
+        30 => key().prop_map(Step::Touch),
+        20 => (key(), 0u32..1000).prop_map(|(b, v)| Step::Access(b, v)),
+        10 => key().prop_map(Step::Get),
+        20 => key().prop_map(Step::Remove),
+        20 => key().prop_map(Step::VictimFor),
+        1 => Just(Step::Clear),
     ];
-    prop::collection::vec(step, 0..400)
+    prop::collection::vec(step, 0..1500)
 }
 
 proptest! {
-    /// The flat array and the per-set reference agree, for every
-    /// replacement policy, on hits, victim predictions, evictions, removals
-    /// and the contents and order of `iter()` and `set_occupants()`.
+    /// The occupancy-proportional array and the per-set reference agree,
+    /// for every replacement policy, on hits, victim predictions,
+    /// evictions, removals and the contents and order of `iter()`,
+    /// `set_occupants()` and `eviction_order()`. Runs are long enough that
+    /// sets grow through every chunk capacity (1, 2, 4, ... up to the
+    /// associativity, which need not be a power of two), fill up, lose
+    /// ways below their capacity to `remove`, and release chunks that
+    /// trigger compaction; with 64 sets, released chunks also wait on the
+    /// free lists and are reused and split.
     #[test]
     fn flat_array_matches_per_set_reference(
         steps in arb_steps(),
@@ -157,16 +167,27 @@ proptest! {
             ReplKind::Srrip,
             ReplKind::TreePlru,
         ]),
-        sets in prop::sample::select(vec![1usize, 2, 4, 8]),
-        ways in 1usize..7,
+        sets in prop::sample::select(vec![1usize, 2, 4, 8, 64]),
+        ways in prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 12, 16]),
         seed in 0u64..1000,
     ) {
+        let span = (sets * ways * 3 / 2 + 1) as u64;
         let mut flat: SetAssoc<u32> = SetAssoc::new(sets, ways, repl, seed);
         let mut model: reference::SetAssoc<u32> = reference::SetAssoc::new(sets, ways, repl, seed);
-        for step in steps {
+        let last = steps.len().saturating_sub(1);
+        for (i, step) in steps.into_iter().enumerate() {
+            let touched = match step {
+                Step::Insert(b, _)
+                | Step::Touch(b)
+                | Step::Access(b, _)
+                | Step::Get(b)
+                | Step::Remove(b)
+                | Step::VictimFor(b) => Some(b % span),
+                Step::Clear => None,
+            };
             match step {
                 Step::Insert(b, v) => {
-                    let block = BlockAddr::new(b);
+                    let block = BlockAddr::new(b % span);
                     if model.contains(block) {
                         prop_assert!(flat.contains(block));
                     } else {
@@ -175,25 +196,25 @@ proptest! {
                     }
                 }
                 Step::Touch(b) => {
-                    let block = BlockAddr::new(b);
+                    let block = BlockAddr::new(b % span);
                     prop_assert_eq!(flat.touch(block), model.touch(block));
                 }
                 Step::Access(b, v) => {
-                    let block = BlockAddr::new(b);
+                    let block = BlockAddr::new(b % span);
                     let got = flat.access_mut(block).map(|l| std::mem::replace(l, v));
                     let want = model.access_mut(block).map(|l| std::mem::replace(l, v));
                     prop_assert_eq!(got, want);
                 }
                 Step::Get(b) => {
-                    let block = BlockAddr::new(b);
+                    let block = BlockAddr::new(b % span);
                     prop_assert_eq!(flat.get(block), model.get(block));
                 }
                 Step::Remove(b) => {
-                    let block = BlockAddr::new(b);
+                    let block = BlockAddr::new(b % span);
                     prop_assert_eq!(flat.remove(block), model.remove(block));
                 }
                 Step::VictimFor(b) => {
-                    let block = BlockAddr::new(b);
+                    let block = BlockAddr::new(b % span);
                     prop_assert_eq!(flat.victim_for(block), model.victim_for(block));
                 }
                 Step::Clear => {
@@ -202,14 +223,25 @@ proptest! {
                 }
             }
             prop_assert_eq!(flat.occupancy(), model.occupancy());
-            let got: Vec<_> = flat.iter().collect();
-            let want: Vec<_> = model.iter().collect();
-            prop_assert_eq!(got, want);
-            for set in 0..sets as u64 {
-                let probe = BlockAddr::new(set);
+            // A step changes only the set it touches (an eviction comes
+            // from the target set); the whole array is compared after a
+            // clear, every 64 steps and at the end.
+            let sweep = touched.is_none() || i % 64 == 0 || i == last;
+            if sweep {
+                let got: Vec<_> = flat.iter().collect();
+                let want: Vec<_> = model.iter().collect();
+                prop_assert_eq!(got, want);
+            }
+            let probes: Vec<u64> = match touched {
+                Some(b) if !sweep => vec![b],
+                _ => (0..sets as u64).collect(),
+            };
+            for probe in probes.into_iter().map(BlockAddr::new) {
                 let got: Vec<_> = flat.set_occupants(probe).collect();
                 let want: Vec<_> = model.set_occupants(probe).collect();
                 prop_assert_eq!(got, want);
+                let got: Vec<_> = flat.eviction_order(probe).collect();
+                prop_assert_eq!(got, model.eviction_order(probe));
             }
         }
     }
@@ -227,6 +259,10 @@ mod reference {
         fn on_fill(&mut self, way: usize);
         fn on_hit(&mut self, way: usize);
         fn victim(&mut self, valid: &[bool], rng: &mut DetRng) -> usize;
+        /// Ways in eviction order, for the policies that keep one.
+        fn ranking(&self) -> Option<&[usize]> {
+            None
+        }
     }
 
     fn build(kind: ReplKind, ways: usize) -> Box<dyn ReplacementPolicy> {
@@ -270,6 +306,9 @@ mod reference {
         fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
             self.stack.iter().copied().find(|&w| valid[w]).unwrap_or(0)
         }
+        fn ranking(&self) -> Option<&[usize]> {
+            Some(&self.stack)
+        }
     }
 
     struct Fifo {
@@ -284,6 +323,9 @@ mod reference {
         fn on_hit(&mut self, _way: usize) {}
         fn victim(&mut self, valid: &[bool], _rng: &mut DetRng) -> usize {
             self.queue.iter().copied().find(|&w| valid[w]).unwrap_or(0)
+        }
+        fn ranking(&self) -> Option<&[usize]> {
+            Some(&self.queue)
         }
     }
 
@@ -528,6 +570,17 @@ mod reference {
                 .iter()
                 .enumerate()
                 .filter_map(|(w, slot)| slot.as_ref().map(|(b, l)| (w, *b, l)))
+        }
+
+        pub fn eviction_order(&self, block: BlockAddr) -> Vec<(usize, BlockAddr, &L)> {
+            let set = self.set(block);
+            let ways: Vec<usize> = match set.policy.ranking() {
+                Some(order) => order.to_vec(),
+                None => (0..set.ways.len()).collect(),
+            };
+            ways.into_iter()
+                .filter_map(|w| set.ways[w].as_ref().map(|(b, l)| (w, *b, l)))
+                .collect()
         }
 
         pub fn would_evict(&self, block: BlockAddr) -> bool {

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use stashdir_core::{CostParams, DirConfig, DirReplPolicy, SharerFormat};
-use stashdir_mem::{CacheConfig, DramConfig, ReplKind};
+use stashdir_mem::{CacheConfig, DramConfig, ReplKind, MAX_WAYS};
 use stashdir_noc::{Mesh, NocConfig};
 use std::fmt;
 
@@ -49,7 +49,7 @@ impl CoverageRatio {
     /// Number of directory entries for `tracked_blocks` blocks of private
     /// cache (rounded down, at least 1).
     pub fn entries_for(self, tracked_blocks: usize) -> usize {
-        ((tracked_blocks * self.num as usize) / self.den as usize).max(1)
+        (tracked_blocks.saturating_mul(self.num as usize) / self.den as usize).max(1)
     }
 
     /// The sweep used throughout the evaluation: 2, 1, 1/2, 1/4, 1/8, 1/16.
@@ -241,6 +241,11 @@ impl DirSpec {
     }
 }
 
+/// Most entries one directory slice may have. Resolving a larger slice
+/// panics with a message before anything is allocated; the bound also
+/// keeps set-associative slices within [`stashdir_mem::MAX_SETS`].
+pub const MAX_SLICE_ENTRIES: usize = 1 << 24;
+
 /// Rounds `entries` into a power-of-two set count at fixed associativity.
 fn geometry(entries: usize, assoc: usize) -> (usize, usize) {
     let sets = (entries / assoc).max(1).next_power_of_two();
@@ -298,6 +303,11 @@ fn parse_geometry(kind: &str, g: &str) -> Result<(CoverageRatio, usize), String>
                 .ok_or_else(|| {
                     format!("bad `{kind}` geometry `{g}`: expected <cov>x<ways>w, e.g. 1/8x8w")
                 })?;
+            if ways > MAX_WAYS {
+                return Err(format!(
+                    "bad `{kind}` geometry `{g}`: at most {MAX_WAYS} ways, got {ways}"
+                ));
+            }
             (c, ways)
         }
         None => (g, 8),
@@ -462,7 +472,8 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if core count is not a positive power of two, block sizes
-    /// disagree across levels, or the L2 is not larger than the L1.
+    /// disagree across levels, the L2 is not larger than the L1, or a
+    /// directory slice is too large to build (see [`SystemConfig::dir_slice`]).
     pub fn validate(&self) {
         assert!(
             self.cores > 0 && self.cores.is_power_of_two(),
@@ -479,6 +490,39 @@ impl SystemConfig {
         assert!(
             self.l2.size_bytes() >= self.l1.size_bytes(),
             "L2 must be at least as large as L1 (inclusive hierarchy)"
+        );
+        self.check_dir_slice();
+    }
+
+    /// Panics unless one directory slice fits [`MAX_SLICE_ENTRIES`] and
+    /// [`MAX_WAYS`].
+    fn check_dir_slice(&self) {
+        let tracked = self.tracked_blocks_per_slice();
+        let (coverage, assoc) = match self.dir {
+            DirSpec::FullMap | DirSpec::Dls => return,
+            DirSpec::Cuckoo { coverage } => (coverage, 1),
+            DirSpec::Sparse {
+                coverage, assoc, ..
+            }
+            | DirSpec::Stash {
+                coverage, assoc, ..
+            }
+            | DirSpec::LimitedPtr {
+                coverage, assoc, ..
+            }
+            | DirSpec::Opaque { coverage, assoc } => (coverage, assoc),
+        };
+        let entries = coverage.entries_for(tracked);
+        assert!(
+            entries <= MAX_SLICE_ENTRIES,
+            "directory `{}` needs {entries} entries per slice ({coverage} of {tracked} \
+             private blocks); a slice holds at most {MAX_SLICE_ENTRIES}",
+            self.dir
+        );
+        assert!(
+            assoc <= MAX_WAYS,
+            "directory `{}` has {assoc} ways; a slice holds at most {MAX_WAYS}",
+            self.dir
         );
     }
 
@@ -524,7 +568,13 @@ impl SystemConfig {
     }
 
     /// The resolved per-slice directory configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice would exceed [`MAX_SLICE_ENTRIES`] entries or
+    /// [`MAX_WAYS`] ways.
     pub fn dir_slice(&self) -> DirConfig {
+        self.check_dir_slice();
         let slice = self.dir.slice_config(self.tracked_blocks_per_slice());
         match self.dir {
             // A limited-pointer spec carries its own sharer format; the

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use stashdir_core::DirReplPolicy;
-use stashdir_sim::{CoverageRatio, DirSpec};
+use stashdir_sim::{CoverageRatio, DirSpec, SystemConfig};
 
 const VALID_KINDS: [&str; 7] = [
     "fullmap",
@@ -75,4 +75,50 @@ proptest! {
             );
         }
     }
+}
+
+/// A set holds at most 256 ways (its replacement state stores way indices
+/// in bytes), so the grammar rejects wider geometry and names the limit.
+#[test]
+fn geometry_above_256_ways_is_rejected_by_the_parser() {
+    for kind in ["sparse", "stash", "limited-ptr2", "opaque"] {
+        let err = format!("{kind}@1/8x100000w")
+            .parse::<DirSpec>()
+            .expect_err("100000 ways must not parse");
+        assert!(err.contains("at most 256 ways"), "{kind}: {err}");
+        let widest: DirSpec = format!("{kind}@1/8x256w").parse().expect("256 ways parse");
+        assert!(widest.to_string().ends_with("x256w"));
+    }
+}
+
+/// A slice too large to build panics with a message when the system is
+/// validated, instead of aborting the process in the allocator.
+#[test]
+fn oversized_directory_slice_panics_before_allocating() {
+    let spec: DirSpec = "stash@4000000000/1".parse().expect("coverage parses");
+    let cfg = SystemConfig::default().with_cores(16).with_dir(spec);
+    for (what, result) in [
+        ("validate", std::panic::catch_unwind(|| cfg.validate())),
+        (
+            "dir_slice",
+            std::panic::catch_unwind(|| cfg.dir_slice()).map(|_| ()),
+        ),
+    ] {
+        let payload = result.expect_err("oversized slice must be rejected");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains("a slice holds at most 16777216"),
+            "{what}: {msg}"
+        );
+    }
+    // Programmatic specs cannot sneak wide sets past the parser either.
+    let wide = SystemConfig::default().with_dir(DirSpec::Sparse {
+        coverage: CoverageRatio::new(1, 8),
+        assoc: 257,
+        repl: DirReplPolicy::Lru,
+    });
+    assert!(std::panic::catch_unwind(|| wide.validate()).is_err());
 }
