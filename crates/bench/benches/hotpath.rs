@@ -1,7 +1,9 @@
 //! The hot-path benchmark gate: microbenches of the inner-loop
 //! structures this repo optimized — event diagnostics, message
 //! arena allocation, batched bank stepping, directory lookup keys,
-//! occupancy-proportional set storage, and stat bumping — plus scaled-down E9 macro points (64 and 256 cores),
+//! occupancy-proportional set storage, per-class NoC accounting, inline
+//! sharer sets, and stat bumping — plus scaled-down E9 macro points (64
+//! and 256 cores),
 //! with a JSON baseline (`BENCH_sim_hotpath.json` at the repo root)
 //! and a `--check` mode that fails on regression.
 //!
@@ -22,8 +24,10 @@
 
 use criterion::{BenchResult, Criterion};
 use stashdir::common::json::Value;
-use stashdir::common::{BlockAddr, Cycle, DetRng, FxHashMap, StatSink};
+use stashdir::common::{BlockAddr, CoreId, Cycle, DetRng, FxHashMap, NodeId, SharerSet, StatSink};
 use stashdir::mem::{ReplKind, SetAssoc};
+use stashdir::noc::{Mesh, Network, NocConfig};
+use stashdir::protocol::{decide, DirView, Request, CONTROL_FLITS, DATA_FLITS};
 use stashdir::sim::arena::Arena;
 use stashdir::sim::event::EventQueue;
 use stashdir::{CoverageRatio, DirConfig, DirSpec, SystemConfig, Workload};
@@ -268,6 +272,75 @@ fn bench_set_assoc(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_noc_send(c: &mut Criterion) {
+    let mut group = c.benchmark_group("noc_send");
+    // One discovery round of the 64-core canneal point: the home sends a
+    // discovery probe to each of the other 63 cores, and each answers —
+    // 62 with a control-sized `ack`, the owner with a `data` reply. Every
+    // message goes through `Network::send` and its per-class accounting.
+    // The home rotates round to round, and rounds are spaced so the
+    // links have drained.
+    group.bench_function("discovery_round_64c", |b| {
+        let mut net = Network::new(Mesh::new(8, 8), NocConfig::default());
+        let mut round = 0u16;
+        let mut t = Cycle::ZERO;
+        b.iter(|| {
+            let home = round % 64;
+            let owner = (home + 1 + round % 63) % 64;
+            round = round.wrapping_add(1);
+            t += 1000;
+            let mut last = t;
+            for core in (0..64).filter(|&c| c != home) {
+                let (h, c) = (NodeId::new(home), NodeId::new(core));
+                let probe = net.send(h, c, CONTROL_FLITS, "discovery", t);
+                let reply = if core == owner {
+                    net.send(c, h, DATA_FLITS, "data", probe)
+                } else {
+                    net.send(c, h, CONTROL_FLITS, "ack", probe)
+                };
+                last = last.max(reply);
+            }
+            black_box(last)
+        });
+    });
+    group.finish();
+}
+
+fn bench_sharers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sharers");
+    // A read of a shared block at 16 cores: look up a three-sharer view
+    // in a stash slice, plan the GetS (which adds the reader), and
+    // install the result with the oldest sharer dropped again, so every
+    // block keeps three sharers that rotate around the machine. Each
+    // step clones the view out of and back into the slice.
+    group.bench_function("shared_view_16c", |b| {
+        const CORES: u16 = 16;
+        const BLOCKS: u64 = 512;
+        let mut dir = DirConfig::stash(64, 8).build(1);
+        let mut first: Vec<u16> = (0..BLOCKS).map(|b| (b % CORES as u64) as u16).collect();
+        for (block, &k) in first.iter().enumerate() {
+            let mut set = SharerSet::new(CORES);
+            set.extend((k..k + 3).map(|c| CoreId::new(c % CORES)));
+            dir.install(BlockAddr::new(block as u64), DirView::Shared(set));
+        }
+        let mut rng = DetRng::seed_from(4);
+        b.iter(|| {
+            let i = rng.below(BLOCKS) as usize;
+            let block = BlockAddr::new(i as u64);
+            let k = first[i];
+            let view = dir.lookup(block).unwrap_or(DirView::Untracked);
+            let reader = CoreId::new((k + 3) % CORES);
+            let mut out = decide(Request::GetS, reader, &view, CORES);
+            if let DirView::Shared(set) = &mut out.new_view {
+                set.remove(CoreId::new(k));
+            }
+            first[i] = (k + 1) % CORES;
+            black_box(dir.install(block, out.new_view))
+        });
+    });
+    group.finish();
+}
+
 const STAT_KEYS: [&str; 8] = [
     "l1.hits",
     "l1.misses",
@@ -473,6 +546,8 @@ fn main() -> ExitCode {
     bench_bank_step(&mut criterion);
     bench_dir_lookup(&mut criterion);
     bench_set_assoc(&mut criterion);
+    bench_noc_send(&mut criterion);
+    bench_sharers(&mut criterion);
     bench_stat_bump(&mut criterion);
     bench_macro_e9(&mut criterion);
     let results = criterion.results();

@@ -1,12 +1,16 @@
 //! Compact sharer sets: which cores hold a copy of a block.
 //!
-//! Directory entries carry a full-map bit vector of sharers. The set is
-//! backed by inline `u64` words sized at construction, so 16–64-core
-//! configurations use a single word and larger meshes grow as needed.
+//! Directory entries carry a full-map bit vector of sharers. A set of up
+//! to 64 cores lives inline in one `u64`, so cloning a directory view of a
+//! 16–64-core machine never allocates; larger meshes keep their
+//! `capacity.div_ceil(64)` words behind a box. Either way the set is 16
+//! bytes, which keeps `Option<DirView>` — one directory slot's payload —
+//! at 16 bytes too.
 
 use crate::ids::CoreId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A set of cores, implemented as a full-map bit vector.
 ///
@@ -21,20 +25,39 @@ use std::fmt;
 /// assert!(s.contains(CoreId::new(3)));
 /// assert_eq!(s.sole_member(), None); // two members, not private
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct SharerSet {
-    words: Vec<u64>,
-    capacity: u16,
+    repr: Repr,
+}
+
+/// The storage behind a [`SharerSet`]; which variant a set uses depends
+/// only on its capacity. The capacity sits inside each variant so the
+/// enum tag and the capacity share the first word.
+#[derive(Clone, Serialize, Deserialize)]
+enum Repr {
+    /// Capacity up to 64: every member bit in one word.
+    Inline { bits: u64, capacity: u16 },
+    /// Capacity above 64: `capacity.div_ceil(64)` words. The slice is
+    /// boxed twice so the variant stays one thin pointer wide.
+    Heap {
+        words: Box<Box<[u64]>>,
+        capacity: u16,
+    },
 }
 
 impl SharerSet {
     /// Creates an empty set able to hold cores `0..capacity`.
     pub fn new(capacity: u16) -> Self {
-        let nwords = (capacity as usize).div_ceil(64).max(1);
-        SharerSet {
-            words: vec![0; nwords],
-            capacity,
-        }
+        let repr = if capacity <= 64 {
+            Repr::Inline { bits: 0, capacity }
+        } else {
+            let nwords = (capacity as usize).div_ceil(64);
+            Repr::Heap {
+                words: Box::new(vec![0; nwords].into_boxed_slice()),
+                capacity,
+            }
+        };
+        SharerSet { repr }
     }
 
     /// Creates a set holding exactly one core.
@@ -50,14 +73,31 @@ impl SharerSet {
 
     /// The maximum number of distinct cores the set can hold.
     pub fn capacity(&self) -> u16 {
-        self.capacity
+        match self.repr {
+            Repr::Inline { capacity, .. } | Repr::Heap { capacity, .. } => capacity,
+        }
+    }
+
+    /// The member words, lowest cores first (one word for an inline set).
+    fn words(&self) -> &[u64] {
+        match &self.repr {
+            Repr::Inline { bits, .. } => std::slice::from_ref(bits),
+            Repr::Heap { words, .. } => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.repr {
+            Repr::Inline { bits, .. } => std::slice::from_mut(bits),
+            Repr::Heap { words, .. } => words,
+        }
     }
 
     fn slot(&self, core: CoreId) -> (usize, u64) {
         assert!(
-            core.get() < self.capacity,
+            core.get() < self.capacity(),
             "core {core} out of range (capacity {})",
-            self.capacity
+            self.capacity()
         );
         (core.index() / 64, 1u64 << (core.index() % 64))
     }
@@ -69,8 +109,9 @@ impl SharerSet {
     /// Panics if `core` is outside `0..capacity`.
     pub fn insert(&mut self, core: CoreId) -> bool {
         let (w, bit) = self.slot(core);
-        let fresh = self.words[w] & bit == 0;
-        self.words[w] |= bit;
+        let word = &mut self.words_mut()[w];
+        let fresh = *word & bit == 0;
+        *word |= bit;
         fresh
     }
 
@@ -81,8 +122,9 @@ impl SharerSet {
     /// Panics if `core` is outside `0..capacity`.
     pub fn remove(&mut self, core: CoreId) -> bool {
         let (w, bit) = self.slot(core);
-        let present = self.words[w] & bit != 0;
-        self.words[w] &= !bit;
+        let word = &mut self.words_mut()[w];
+        let present = *word & bit != 0;
+        *word &= !bit;
         present
     }
 
@@ -93,17 +135,17 @@ impl SharerSet {
     /// Panics if `core` is outside `0..capacity`.
     pub fn contains(&self, core: CoreId) -> bool {
         let (w, bit) = self.slot(core);
-        self.words[w] & bit != 0
+        self.words()[w] & bit != 0
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` when no core is a member.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// If exactly one core is a member, returns it. This is the *private
@@ -118,18 +160,51 @@ impl SharerSet {
 
     /// Removes every member.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.words_mut().iter_mut().for_each(|w| *w = 0);
     }
 
     /// Iterates members in ascending core order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { set: self, next: 0 }
+        Iter {
+            words: self.words(),
+            next: 0,
+        }
     }
 
     /// Storage cost of the full-map vector in bits (one bit per trackable
     /// core), used by the directory area model.
     pub fn storage_bits(&self) -> u64 {
-        self.capacity as u64
+        self.capacity() as u64
+    }
+}
+
+/// Equal when capacity and members are equal, as for the plain
+/// `(words, capacity)` pair.
+impl PartialEq for SharerSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity() == other.capacity() && self.words() == other.words()
+    }
+}
+
+impl Eq for SharerSet {}
+
+/// Hashes the word slice, then the capacity: the same stream a derived
+/// `Hash` over `{ words: Vec<u64>, capacity: u16 }` feeds the hasher.
+impl Hash for SharerSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.capacity().hash(state);
+    }
+}
+
+/// Prints `SharerSet { words: [..], capacity: N }` whichever storage the
+/// set uses.
+impl fmt::Debug for SharerSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharerSet")
+            .field("words", &self.words())
+            .field("capacity", &self.capacity())
+            .finish()
     }
 }
 
@@ -166,7 +241,7 @@ impl Extend<CoreId> for SharerSet {
 /// Iterator over the members of a [`SharerSet`] in ascending order.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    set: &'a SharerSet,
+    words: &'a [u64],
     next: u32,
 }
 
@@ -174,9 +249,9 @@ impl Iterator for Iter<'_> {
     type Item = CoreId;
 
     fn next(&mut self) -> Option<CoreId> {
-        while (self.next as usize) < self.set.words.len() * 64 {
+        while (self.next as usize) < self.words.len() * 64 {
             let w = self.next as usize / 64;
-            let rest = self.set.words[w] >> (self.next % 64);
+            let rest = self.words[w] >> (self.next % 64);
             if rest == 0 {
                 self.next = (w as u32 + 1) * 64;
                 continue;
@@ -252,6 +327,37 @@ mod tests {
     #[test]
     fn storage_bits_equals_capacity() {
         assert_eq!(SharerSet::new(48).storage_bits(), 48);
+    }
+
+    #[test]
+    fn a_set_is_two_words_inline_or_boxed() {
+        assert_eq!(std::mem::size_of::<SharerSet>(), 16);
+        assert_eq!(std::mem::size_of::<Option<SharerSet>>(), 16);
+    }
+
+    #[test]
+    fn debug_prints_the_word_vector() {
+        let mut s = SharerSet::new(16);
+        s.insert(CoreId::new(0));
+        s.insert(CoreId::new(2));
+        assert_eq!(format!("{s:?}"), "SharerSet { words: [5], capacity: 16 }");
+        let mut big = SharerSet::new(130);
+        big.insert(CoreId::new(64));
+        assert_eq!(
+            format!("{big:?}"),
+            "SharerSet { words: [0, 1, 0], capacity: 130 }"
+        );
+    }
+
+    #[test]
+    fn equal_members_at_different_capacities_differ() {
+        let a = SharerSet::singleton(64, CoreId::new(1));
+        let b = SharerSet::singleton(65, CoreId::new(1));
+        let c = SharerSet::singleton(16, CoreId::new(1));
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, a.clone());
+        assert_eq!(b, b.clone());
     }
 
     #[test]

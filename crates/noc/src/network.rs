@@ -3,7 +3,6 @@
 use crate::topology::Mesh;
 use serde::{Deserialize, Serialize};
 use stashdir_common::{Counter, Cycle, DetRng, Histogram, NodeId, StatSink};
-use std::collections::BTreeMap;
 
 /// Configuration for [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,6 +67,54 @@ impl LinkFaults {
     }
 }
 
+/// Per-class message and flit counters: one row per class name, in
+/// first-use order. A send finds its row through `aliases`, which maps
+/// each distinct `&'static str` the network has been handed to its row
+/// by address, so the hot path compares a few pointers and never the
+/// text; only a literal seen for the first time is matched by name.
+#[derive(Debug, Clone, Default)]
+struct ClassTable {
+    names: Vec<&'static str>,
+    messages: Vec<Counter>,
+    flits: Vec<Counter>,
+    aliases: Vec<(&'static str, usize)>,
+}
+
+impl ClassTable {
+    /// Counts one `flits`-long message under `class`.
+    fn count(&mut self, class: &'static str, flits: u32) {
+        let row = match self.aliases.iter().find(|(a, _)| std::ptr::eq(*a, class)) {
+            Some(&(_, row)) => row,
+            None => self.intern(class),
+        };
+        self.messages[row].incr();
+        self.flits[row].add(flits as u64);
+    }
+
+    /// Finds or adds the row named `class` and records its address.
+    fn intern(&mut self, class: &'static str) -> usize {
+        let row = self.row(class).unwrap_or_else(|| {
+            self.names.push(class);
+            self.messages.push(Counter::new());
+            self.flits.push(Counter::new());
+            self.names.len() - 1
+        });
+        self.aliases.push((class, row));
+        row
+    }
+
+    fn row(&self, class: &str) -> Option<usize> {
+        self.names.iter().position(|n| *n == class)
+    }
+
+    /// Row indices in class-name order.
+    fn by_name(&self) -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..self.names.len()).collect();
+        rows.sort_unstable_by_key(|&r| self.names[r]);
+        rows
+    }
+}
+
 /// The outcome of a fault-aware send: the (possibly delayed) arrival of
 /// the original packet, plus the arrival of an injected duplicate when
 /// the hook fired one.
@@ -100,8 +147,7 @@ pub struct Network {
     mesh: Mesh,
     config: NocConfig,
     link_free: Vec<Cycle>,
-    messages: BTreeMap<&'static str, Counter>,
-    flits: BTreeMap<&'static str, Counter>,
+    classes: ClassTable,
     flit_hops: Counter,
     latency_hist: Histogram,
     faults: Option<LinkFaults>,
@@ -114,8 +160,7 @@ impl Network {
             link_free: vec![Cycle::ZERO; mesh.directed_links()],
             mesh,
             config,
-            messages: BTreeMap::new(),
-            flits: BTreeMap::new(),
+            classes: ClassTable::default(),
             flit_hops: Counter::new(),
             latency_hist: Histogram::new(),
             faults: None,
@@ -166,8 +211,7 @@ impl Network {
         now: Cycle,
     ) -> Cycle {
         assert!(flits > 0, "a packet has at least one flit");
-        self.messages.entry(class).or_default().incr();
-        self.flits.entry(class).or_default().add(flits as u64);
+        self.classes.count(class, flits);
 
         if src == dst {
             let arrival = now + self.config.local_latency;
@@ -233,24 +277,6 @@ impl Network {
         SendOutcome { arrival, duplicate }
     }
 
-    /// Sends the same packet to many destinations (an invalidation
-    /// multicast or a discovery broadcast), returning each arrival time in
-    /// order. Each destination gets its own packet — the model does not
-    /// assume hardware multicast support, matching the paper's assumption
-    /// that discovery probes are ordinary coherence messages.
-    pub fn multicast(
-        &mut self,
-        src: NodeId,
-        dsts: &[NodeId],
-        flits: u32,
-        class: &'static str,
-        now: Cycle,
-    ) -> Vec<Cycle> {
-        dsts.iter()
-            .map(|&d| self.send(src, d, flits, class, now))
-            .collect()
-    }
-
     /// Total flit-hops injected so far (the traffic metric of experiment
     /// E7; proportional to link energy).
     pub fn flit_hops(&self) -> u64 {
@@ -259,17 +285,21 @@ impl Network {
 
     /// Messages sent under `class`.
     pub fn messages_of(&self, class: &str) -> u64 {
-        self.messages.get(class).map_or(0, |c| c.get())
+        self.classes
+            .row(class)
+            .map_or(0, |r| self.classes.messages[r].get())
     }
 
     /// Flits sent under `class`.
     pub fn flits_of(&self, class: &str) -> u64 {
-        self.flits.get(class).map_or(0, |c| c.get())
+        self.classes
+            .row(class)
+            .map_or(0, |r| self.classes.flits[r].get())
     }
 
     /// Total messages across classes.
     pub fn total_messages(&self) -> u64 {
-        self.messages.values().map(|c| c.get()).sum()
+        self.classes.messages.iter().map(|c| c.get()).sum()
     }
 
     /// Observed end-to-end packet latencies.
@@ -287,10 +317,13 @@ impl Network {
         if let Some(mean) = self.latency_hist.mean() {
             sink.put(format!("{prefix}.mean_latency"), mean);
         }
-        for (class, count) in &self.messages {
+        let rows = self.classes.by_name();
+        for &r in &rows {
+            let (class, count) = (self.classes.names[r], &self.classes.messages[r]);
             sink.put(format!("{prefix}.messages.{class}"), count.get() as f64);
         }
-        for (class, count) in &self.flits {
+        for &r in &rows {
+            let (class, count) = (self.classes.names[r], &self.classes.flits[r]);
             sink.put(format!("{prefix}.flits.{class}"), count.get() as f64);
         }
     }
@@ -381,17 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_reaches_everyone() {
-        let mut n = net(false);
-        let dsts: Vec<NodeId> = (1..4).map(NodeId::new).collect();
-        let arrivals = n.multicast(NodeId::new(0), &dsts, 1, "inv", Cycle::ZERO);
-        assert_eq!(arrivals.len(), 3);
-        assert_eq!(arrivals[0].get(), 3);
-        assert_eq!(arrivals[2].get(), 9);
-        assert_eq!(n.messages_of("inv"), 3);
-    }
-
-    #[test]
     fn export_contains_class_breakdown() {
         let mut n = net(false);
         n.send(NodeId::new(0), NodeId::new(1), 2, "req", Cycle::ZERO);
@@ -401,6 +423,65 @@ mod tests {
         assert_eq!(sink.get("noc.flits.req"), Some(2.0));
         assert_eq!(sink.get("noc.flit_hops"), Some(2.0));
         assert!(sink.get("noc.mean_latency").is_some());
+    }
+
+    /// Classes first used out of name order still export in name order,
+    /// messages before flits, and read back per class as before.
+    #[test]
+    fn export_writes_classes_in_name_order() {
+        let mut n = net(true);
+        let used = ["req", "inv", "data", "ack", "discovery", "dir"];
+        for (i, class) in used.iter().enumerate() {
+            for _ in 0..=i {
+                n.send(
+                    NodeId::new(0),
+                    NodeId::new(5),
+                    i as u32 + 1,
+                    class,
+                    Cycle::ZERO,
+                );
+            }
+        }
+        // A second copy of a literal at another address counts under the
+        // same class.
+        let req = String::from("req").leak();
+        n.send(NodeId::new(1), NodeId::new(2), 1, req, Cycle::ZERO);
+        let mut sink = StatSink::new();
+        n.export("noc", &mut sink);
+        // Stat ids follow write order; the sink's own iteration is sorted
+        // and would hide it.
+        let sorted = ["ack", "data", "dir", "discovery", "inv", "req"];
+        let written: Vec<String> = sorted
+            .iter()
+            .map(|c| format!("noc.messages.{c}"))
+            .chain(sorted.iter().map(|c| format!("noc.flits.{c}")))
+            .collect();
+        let ids: Vec<usize> = written
+            .iter()
+            .map(|k| sink.id_of(k).expect("class exported").index())
+            .collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "write order {ids:?}");
+        assert_eq!(sink.len(), 3 + written.len());
+        let expect = [
+            ("req", 2, 2),
+            ("inv", 2, 4),
+            ("data", 3, 9),
+            ("ack", 4, 16),
+            ("discovery", 5, 25),
+            ("dir", 6, 36),
+        ];
+        for (class, messages, flits) in expect {
+            assert_eq!(n.messages_of(class), messages, "{class}");
+            assert_eq!(n.flits_of(class), flits, "{class}");
+            assert_eq!(
+                sink.get(&format!("noc.messages.{class}")),
+                Some(messages as f64)
+            );
+            assert_eq!(sink.get(&format!("noc.flits.{class}")), Some(flits as f64));
+        }
+        assert_eq!(n.messages_of("wb"), 0);
+        assert_eq!(n.flits_of("wb"), 0);
+        assert_eq!(n.total_messages(), 22);
     }
 
     #[test]

@@ -312,6 +312,14 @@ mod tests {
         DirView::Shared(set)
     }
 
+    /// A directory slot's payload is an `Option<DirView>`; a field that
+    /// grows it past two words costs every slot of every slice.
+    #[test]
+    fn a_directory_view_is_two_words() {
+        assert_eq!(std::mem::size_of::<DirView>(), 16);
+        assert_eq!(std::mem::size_of::<Option<DirView>>(), 16);
+    }
+
     #[test]
     fn gets_untracked_grants_exclusive() {
         let out = decide(Request::GetS, core(0), &DirView::Untracked, 16);

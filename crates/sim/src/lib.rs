@@ -56,6 +56,7 @@ pub mod checker;
 pub mod config;
 pub mod event;
 pub mod fault;
+mod live;
 pub mod machine;
 pub mod private;
 pub mod report;

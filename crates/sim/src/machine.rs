@@ -16,6 +16,7 @@ use crate::bank::{Bank, LlcLine};
 use crate::config::SystemConfig;
 use crate::event::EventQueue;
 use crate::fault::{expected_detector, Detector, FaultClass, FaultConfig, FaultPlan};
+use crate::live::{BusyWindows, ChanClamp};
 use crate::private::{AccessResult, PrivateHier, ProbeAnswer};
 use crate::report::{SimReport, TimelineSample, TransitionHits};
 use crate::values::ValueTracker;
@@ -298,19 +299,16 @@ struct DiscoveryHit {
 pub struct Machine {
     pub(crate) cfg: SystemConfig,
     pub(crate) net: Network,
-    /// Dense per-channel FIFO clamp: `nodes × nodes` last-arrival
-    /// matrix, flat-indexed `src * nodes + dst`. A hot per-message
-    /// lookup with a statically known key space — no hashing.
-    chan_last: Vec<Cycle>,
-    nodes: usize,
+    /// Per-channel FIFO clamp over the channels with a last arrival not
+    /// yet in the past.
+    chans: ChanClamp,
     pub(crate) cores: CoreTable,
     pub(crate) privs: Vec<PrivateHier>,
     pub(crate) banks: Vec<Bank>,
     /// Per-bank controller pipeline availability, dense by `BankId`.
     bank_free: Vec<Cycle>,
-    /// Per-block transaction serialization windows (all banks; a block
-    /// is only ever held at its home, so one map cannot collide).
-    block_busy: FxHashMap<BlockAddr, Cycle>,
+    /// Per-block transaction serialization windows that have not ended.
+    block_busy: BusyWindows,
     pub(crate) dram: DramModel,
     pub(crate) dram_store: FxHashMap<BlockAddr, u64>,
     pub(crate) values: ValueTracker,
@@ -382,13 +380,12 @@ impl Machine {
         let nodes = config.cores as usize;
         Machine {
             net: Network::new(mesh, config.noc),
-            chan_last: vec![Cycle::ZERO; nodes * nodes],
-            nodes,
+            chans: ChanClamp::new(nodes),
             cores: CoreTable::default(),
             privs,
             banks,
             bank_free: vec![Cycle::ZERO; nodes],
-            block_busy: FxHashMap::default(),
+            block_busy: BusyWindows::new(),
             dram: DramModel::new(config.dram),
             dram_store: FxHashMap::default(),
             values: ValueTracker::new(),
@@ -510,6 +507,10 @@ impl Machine {
         'cycles: while let Some(now) = self.queue.pop_batch(&mut self.batch) {
             debug_assert!(now >= last, "time went backwards");
             last = now;
+            // Every send and hold made from here on is at or after `now`,
+            // so entries that ended before it are inert (see `live`).
+            self.chans.advance(now);
+            self.block_busy.advance(now);
             self.batch_pos = 0;
             while self.batch_pos < self.batch.len() {
                 let queued = self.batch[self.batch_pos];
@@ -590,10 +591,7 @@ impl Machine {
         t: Cycle,
     ) -> Cycle {
         let raw = self.net.send(src, dst, flits, class, t);
-        let slot = &mut self.chan_last[src.index() * self.nodes + dst.index()];
-        let arrival = raw.max(*slot + 1);
-        *slot = arrival;
-        arrival
+        self.chans.arrive(src, dst, t, raw)
     }
 
     /// [`Machine::deliver`] through the network's fault hook: the
@@ -630,19 +628,8 @@ impl Machine {
                 }
             }
         }
-        let chan = src.index() * self.nodes + dst.index();
-        let arrival = {
-            let slot = &mut self.chan_last[chan];
-            let arrival = out.arrival.max(*slot + 1);
-            *slot = arrival;
-            arrival
-        };
-        let duplicate = out.duplicate.map(|raw| {
-            let slot = &mut self.chan_last[chan];
-            let a = raw.max(*slot + 1);
-            *slot = a;
-            a
-        });
+        let arrival = self.chans.arrive(src, dst, t, out.arrival);
+        let duplicate = out.duplicate.map(|raw| self.chans.arrive(src, dst, t, raw));
         (arrival, duplicate)
     }
 
@@ -664,18 +651,6 @@ impl Machine {
                     .expect("queued message handle resolves"),
             ),
         }
-    }
-
-    /// The per-block transaction-serialization window (all banks; a
-    /// block is only ever held at its home, so one map cannot collide).
-    fn block_busy_until(&self, block: BlockAddr) -> Cycle {
-        self.block_busy.get(&block).copied().unwrap_or(Cycle::ZERO)
-    }
-
-    /// Extends `block`'s busy window to at least `until`.
-    fn hold_block(&mut self, block: BlockAddr, until: Cycle) {
-        let slot = self.block_busy.entry(block).or_insert(Cycle::ZERO);
-        *slot = (*slot).max(until);
     }
 
     // ---- fault injection, watchdog, quiesce ----
@@ -1218,9 +1193,9 @@ impl Machine {
     fn process_put(&mut self, msg: BankMsg, now: Cycle) {
         let bank_id = self.home(msg.block);
         let free = self.bank_free[bank_id.index()];
-        let mut t = now.max(free).max(self.block_busy_until(msg.block)) + self.cfg.dir_latency;
+        let mut t = self.block_busy.start(msg.block, now.max(free)) + self.cfg.dir_latency;
         self.bank_free[bank_id.index()] = t.max(free) + self.cfg.bank_occupancy;
-        self.hold_block(msg.block, t);
+        self.block_busy.hold(msg.block, t);
 
         let dir_bank = self.dir_bank_of(msg.block);
         t = self.consult_dir_bank(bank_id, dir_bank, t);
@@ -1306,7 +1281,7 @@ impl Machine {
         // the requester's completion lands past the watchdog bound.
         if self.roll_fault(FaultClass::StuckTransient, now) {
             let stuck = self.faults.as_ref().map_or(0, |p| p.config().stuck_cycles);
-            self.hold_block(block, now + stuck);
+            self.block_busy.hold(block, now + stuck);
             if let Some(plan) = self.faults.as_mut() {
                 plan.record_injection(FaultClass::StuckTransient);
             }
@@ -1314,7 +1289,7 @@ impl Machine {
 
         // Serialize: per-block window plus bank pipeline occupancy.
         let free = self.bank_free[bank_id.index()];
-        let start = now.max(free).max(self.block_busy_until(block));
+        let start = self.block_busy.start(block, now.max(free));
         self.bank_free[bank_id.index()] = start + self.cfg.bank_occupancy;
         let mut t = start + self.cfg.dir_latency;
 
@@ -1505,7 +1480,7 @@ impl Machine {
             if let Some(plan) = self.faults.as_mut() {
                 plan.record_injection(FaultClass::DropGrant);
             }
-            self.hold_block(block, fill_done);
+            self.block_busy.hold(block, fill_done);
             return;
         }
         self.complete_demand(
@@ -1516,7 +1491,7 @@ impl Machine {
             data_version,
             fill_done,
         );
-        self.hold_block(block, fill_done);
+        self.block_busy.hold(block, fill_done);
         self.miss_latency
             .record(fill_done.saturating_since(self.cores.issue_time[requester.index()]));
         self.queue.push(fill_done, QueuedEvent::Issue(requester));
@@ -1622,7 +1597,7 @@ impl Machine {
                 }
             };
             self.cores.ops_done[requester.index()] += 1;
-            self.hold_block(block, done);
+            self.block_busy.hold(block, done);
             self.miss_latency
                 .record(done.saturating_since(self.cores.issue_time[requester.index()]));
             self.queue.push(done, QueuedEvent::Issue(requester));
@@ -1641,7 +1616,7 @@ impl Machine {
         let arr = self.deliver(bank_id.node(), requester.node(), DATA_FLITS, "data", ready);
         let fill_done = arr + self.cfg.l2.latency;
         self.complete_demand(requester, msg.req, grant, true, version, fill_done);
-        self.hold_block(block, fill_done);
+        self.block_busy.hold(block, fill_done);
         self.miss_latency
             .record(fill_done.saturating_since(self.cores.issue_time[requester.index()]));
         self.queue.push(fill_done, QueuedEvent::Issue(requester));
